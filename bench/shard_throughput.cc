@@ -281,10 +281,8 @@ phaseContention()
                 xs[i].push_back(std::move(region));
             }
         }
-        auto pending = device->transformTowersBatchAsync(
-            n, moduli, std::move(xs), false);
-        for (auto &p : pending)
-            (void)RpuDevice::collectTowers(std::move(p));
+        (void)device->runTowers(TowerOp::Forward, n, moduli,
+                                std::move(xs));
         return device->stats();
     };
 

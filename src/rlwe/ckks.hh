@@ -24,7 +24,8 @@
  *   add      per-tower coefficient adds, domain-preserving (host).
  *   mulPlain a pure pointwise dispatch: both components against the
  *            shared plaintext through one
- *            RpuDevice::pointwiseTowersBatchAsync — zero transforms.
+ *            RpuDevice::runTowers (TowerOp::Pointwise) — zero
+ *            transforms.
  *   rescale  the only forced (partial) return to Coeff: the dropped
  *            tower is inverse-transformed (a device launch when
  *            attached), its centred lift is re-entered into the
@@ -170,7 +171,7 @@ class CkksContext
      * residues stay Coeff-resident and pay no transform at all. For
      * callers that batch the forward entry themselves — the serving
      * layer coalesces many tenants' plaintext entries into one
-     * batched device launch (RpuDevice::transformCoalesced) instead
+     * batched device launch (RpuTopology::runTowers) instead
      * of paying one launch per encode.
      */
     CkksPlaintext
@@ -268,7 +269,7 @@ class CkksContext
      * be the Coeff residues of the last active tower of {c0, c1}
      * (exactly what RlweEvaluator::inverseTower({&ct.c0, &ct.c1}, l)
      * returns — or one item of a coalesced
-     * RpuDevice::transformCoalesced over many ciphertexts' dropped
+     * RpuTopology::runTowers inverse over many ciphertexts' dropped
      * towers). Bit-identical to rescale(ct), which is now a thin
      * wrapper over this.
      */

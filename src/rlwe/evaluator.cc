@@ -1,5 +1,6 @@
 #include "rlwe/evaluator.hh"
 
+#include <algorithm>
 #include <exception>
 #include <future>
 #include <utility>
@@ -399,10 +400,17 @@ RlweEvaluator::inverseTower(
     if (device_) {
         const KernelImage &k = device_->kernel(
             KernelKind::InverseNtt, n_, {basis().prime(t)});
+        // The fan-out structurally fills min(workers, polys) lanes:
+        // the hint keeps the contention ledger independent of how the
+        // OS happens to schedule the workers.
+        const unsigned lanes = unsigned(
+            std::min<size_t>(device_->parallelism(), polys.size()));
         std::vector<LaunchFuture> futures;
         futures.reserve(polys.size());
-        for (const ResiduePoly *p : polys)
-            futures.push_back(device_->launchAsync(k, {p->towers[t]}));
+        for (const ResiduePoly *p : polys) {
+            futures.push_back(
+                device_->launchAsync(k, {p->towers[t]}, lanes));
+        }
         auto results = RpuDevice::whenAll(std::move(futures));
         for (size_t c = 0; c < polys.size(); ++c)
             out[c] = std::move(results[c][0]);
@@ -432,12 +440,8 @@ RlweEvaluator::forwardTowersAt(std::vector<TowerPoly> xs,
         std::vector<u128> primes(count);
         for (size_t t = 0; t < count; ++t)
             primes[t] = basis().prime(first + t);
-        auto pending = device_->transformTowersBatchAsync(
-            n_, primes, std::move(xs), false);
-        std::vector<TowerPoly> out(pending.size());
-        for (size_t i = 0; i < out.size(); ++i)
-            out[i] = RpuDevice::collectTowers(std::move(pending[i]));
-        return out;
+        return device_->runTowers(TowerOp::Forward, n_, primes,
+                                  std::move(xs));
     }
     for (TowerPoly &x : xs) {
         for (size_t t = 0; t < count; ++t)

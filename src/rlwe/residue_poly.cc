@@ -80,18 +80,17 @@ ResidueOps::convert(const std::vector<ResiduePoly *> &polys,
     for (auto &[towers, movers] : groups) {
         if (device_) {
             // One dispatch per tower-count group: all movers' towers
-            // through transformTowersBatchAsync (batched all-towers
+            // through the device's tile executor (batched all-towers
             // kernels serially, per-tower fan-out on a pooled device).
-            std::vector<std::vector<std::vector<u128>>> xs;
+            std::vector<TowerSet> xs;
             xs.reserve(movers.size());
             for (ResiduePoly *p : movers)
                 xs.push_back(std::move(p->towers));
-            auto pending = device_->transformTowersBatchAsync(
-                n_, prefixPrimes(towers), std::move(xs), inverse);
-            for (size_t i = 0; i < movers.size(); ++i) {
-                movers[i]->towers =
-                    RpuDevice::collectTowers(std::move(pending[i]));
-            }
+            xs = device_->runTowers(
+                inverse ? TowerOp::Inverse : TowerOp::Forward, n_,
+                prefixPrimes(towers), std::move(xs));
+            for (size_t i = 0; i < movers.size(); ++i)
+                movers[i]->towers = std::move(xs[i]);
         } else {
             for (ResiduePoly *p : movers) {
                 for (size_t t = 0; t < towers; ++t)
@@ -180,14 +179,13 @@ ResidueOps::collectEvalProducts(
     std::vector<std::vector<std::vector<u128>>> rhs,
     size_t towers) const
 {
-    auto pending = device_->pointwiseTowersBatchAsync(
-        n_, prefixPrimes(towers), std::move(lhs), std::move(rhs));
-    std::vector<ResiduePoly> out(pending.size());
-    for (size_t i = 0; i < out.size(); ++i) {
-        out[i].domain = ResidueDomain::Eval;
-        out[i].towers =
-            RpuDevice::collectTowers(std::move(pending[i]));
-    }
+    std::vector<TowerSet> prods = device_->runTowers(
+        TowerOp::Pointwise, n_, prefixPrimes(towers), std::move(lhs),
+        std::move(rhs));
+    std::vector<ResiduePoly> out;
+    out.reserve(prods.size());
+    for (TowerSet &p : prods)
+        out.emplace_back(ResidueDomain::Eval, std::move(p));
     return out;
 }
 

@@ -212,7 +212,8 @@ class ResidueOps
     mulEvalHost(const std::vector<const ResiduePoly *> &as,
                 const ResiduePoly &b, size_t towers) const;
 
-    /** Join one dispatched pair batch into Eval-resident results. */
+    /** Pointwise products of one pair batch, through the device's
+     *  tile executor, as Eval-resident results. */
     std::vector<ResiduePoly>
     collectEvalProducts(std::vector<std::vector<std::vector<u128>>> lhs,
                         std::vector<std::vector<std::vector<u128>>> rhs,

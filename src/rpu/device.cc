@@ -813,118 +813,6 @@ RpuDevice::ntt(uint64_t n, u128 q, const std::vector<u128> &x,
 }
 
 std::vector<u128>
-RpuDevice::negacyclicMul(uint64_t n, u128 q, const std::vector<u128> &a,
-                         const std::vector<u128> &b,
-                         const NttCodegenOptions &opts)
-{
-    const KernelImage &k = kernel(KernelKind::PolyMul, n, {q}, opts);
-    return launch(k, {a, b})[0];
-}
-
-std::vector<std::vector<u128>>
-RpuDevice::mulTowers(uint64_t n, const std::vector<u128> &moduli,
-                     std::vector<std::vector<u128>> a,
-                     std::vector<std::vector<u128>> b,
-                     const NttCodegenOptions &opts)
-{
-    std::vector<std::vector<std::vector<u128>>> as, bs;
-    as.push_back(std::move(a));
-    bs.push_back(std::move(b));
-    return std::move(
-        mulTowersBatch(n, moduli, std::move(as), std::move(bs),
-                       opts)[0]);
-}
-
-std::vector<std::vector<std::vector<u128>>>
-RpuDevice::mulTowersBatch(
-    uint64_t n, const std::vector<u128> &moduli,
-    std::vector<std::vector<std::vector<u128>>> a,
-    std::vector<std::vector<std::vector<u128>>> b,
-    const NttCodegenOptions &opts)
-{
-    auto pending = mulTowersBatchAsync(n, moduli, std::move(a),
-                                       std::move(b), opts);
-    std::vector<std::vector<std::vector<u128>>> out(pending.size());
-    for (size_t p = 0; p < pending.size(); ++p)
-        out[p] = collectTowers(std::move(pending[p]));
-    return out;
-}
-
-std::vector<PendingTowerProducts>
-RpuDevice::pairProductsBatchAsync(
-    KernelKind single, KernelKind batched, uint64_t n,
-    const std::vector<u128> &moduli,
-    std::vector<std::vector<std::vector<u128>>> a,
-    std::vector<std::vector<std::vector<u128>>> b,
-    const NttCodegenOptions &opts)
-{
-    rpu_assert(a.size() == b.size(), "operand pair count mismatch");
-    const size_t pairs = a.size();
-    const size_t towers = moduli.size();
-    for (size_t p = 0; p < pairs; ++p) {
-        rpu_assert(a[p].size() == towers && b[p].size() == towers,
-                   "tower count mismatch");
-    }
-
-    std::vector<PendingTowerProducts> pending(pairs);
-    for (auto &p : pending)
-        p.towers = towers;
-
-    if (pool_ && pairs * towers > 1) {
-        // One single-ring launch per (pair, tower), so every
-        // independent product overlaps across the worker pool — the
-        // paper's "process different towers simultaneously", realised
-        // in host wall-clock time. Operand vectors are moved into the
-        // launches, which own them until their futures resolve.
-        const unsigned lanes = unsigned(
-            std::min<size_t>(pool_->workers(), pairs * towers));
-        std::vector<const KernelImage *> tower_kernels(towers);
-        for (size_t t = 0; t < towers; ++t)
-            tower_kernels[t] = &kernel(single, n, {moduli[t]}, opts);
-        for (size_t p = 0; p < pairs; ++p) {
-            pending[p].futures.reserve(towers);
-            for (size_t t = 0; t < towers; ++t) {
-                std::vector<std::vector<u128>> in;
-                in.reserve(2);
-                in.push_back(std::move(a[p][t]));
-                in.push_back(std::move(b[p][t]));
-                pending[p].futures.push_back(launchAsync(
-                    *tower_kernels[t], std::move(in), lanes));
-            }
-        }
-        return pending;
-    }
-
-    // Serial: one batched all-towers launch per pair (executed inline
-    // by launchAsync when there is no pool, so the returned futures
-    // are already ready). Region order is t0.a, t0.b, t1.a, t1.b, ...
-    const KernelImage &k = kernel(batched, n, moduli, opts);
-    for (size_t p = 0; p < pairs; ++p) {
-        std::vector<std::vector<u128>> in;
-        in.reserve(2 * towers);
-        for (size_t t = 0; t < towers; ++t) {
-            in.push_back(std::move(a[p][t]));
-            in.push_back(std::move(b[p][t]));
-        }
-        pending[p].futures.push_back(launchAsync(k, std::move(in)));
-    }
-    return pending;
-}
-
-std::vector<PendingTowerProducts>
-RpuDevice::mulTowersBatchAsync(
-    uint64_t n, const std::vector<u128> &moduli,
-    std::vector<std::vector<std::vector<u128>>> a,
-    std::vector<std::vector<std::vector<u128>>> b,
-    const NttCodegenOptions &opts)
-{
-    return pairProductsBatchAsync(KernelKind::PolyMul,
-                                  KernelKind::BatchedPolyMul, n,
-                                  moduli, std::move(a), std::move(b),
-                                  opts);
-}
-
-std::vector<u128>
 RpuDevice::pointwiseMul(uint64_t n, u128 q, const std::vector<u128> &a,
                         const std::vector<u128> &b,
                         const NttCodegenOptions &opts)
@@ -933,203 +821,128 @@ RpuDevice::pointwiseMul(uint64_t n, u128 q, const std::vector<u128> &a,
     return launch(k, {a, b})[0];
 }
 
-std::vector<PendingTowerProducts>
-RpuDevice::transformTowersBatchAsync(
-    uint64_t n, const std::vector<u128> &moduli,
-    std::vector<std::vector<std::vector<u128>>> xs, bool inverse,
-    const NttCodegenOptions &opts)
+std::vector<TowerTile>
+RpuDevice::cutTiles(TowerOp op, const std::vector<size_t> &segments,
+                    bool perTower)
 {
-    const size_t towers = moduli.size();
-    const size_t sets = xs.size();
-    for (size_t s = 0; s < sets; ++s)
-        rpu_assert(xs[s].size() == towers, "tower count mismatch");
+    // Indexed by TowerOp.
+    static constexpr KernelKind kSingle[] = {KernelKind::ForwardNtt,
+                                             KernelKind::InverseNtt,
+                                             KernelKind::PointwiseMul};
+    static constexpr KernelKind kBatched[] = {
+        KernelKind::BatchedForwardNtt, KernelKind::BatchedInverseNtt,
+        KernelKind::PointwiseMulBatched};
+    const KernelKind kind = (perTower ? kSingle : kBatched)[size_t(op)];
+    const size_t step = perTower ? 1 : kMaxBatchedTowers;
 
-    std::vector<PendingTowerProducts> pending(sets);
-    for (auto &p : pending)
-        p.towers = towers;
-
-    if (pool_ && sets * towers > 1) {
-        // One single-ring transform per (set, tower), fanned across
-        // the worker pool — the same policy split as the fused tower
-        // products.
-        const unsigned lanes = unsigned(
-            std::min<size_t>(pool_->workers(), sets * towers));
-        std::vector<const KernelImage *> tower_kernels(towers);
-        for (size_t t = 0; t < towers; ++t) {
-            tower_kernels[t] = &kernel(inverse ? KernelKind::InverseNtt
-                                               : KernelKind::ForwardNtt,
-                                       n, {moduli[t]}, opts);
+    std::vector<TowerTile> tiles;
+    size_t base = 0;
+    for (size_t towers : segments) {
+        for (size_t t = 0; t < towers; t += step) {
+            tiles.push_back(
+                {base + t, base + std::min(towers, t + step), kind});
         }
-        for (size_t s = 0; s < sets; ++s) {
-            pending[s].futures.reserve(towers);
-            for (size_t t = 0; t < towers; ++t) {
-                pending[s].futures.push_back(
-                    launchAsync(*tower_kernels[t],
-                                {std::move(xs[s][t])}, lanes));
-            }
-        }
-        return pending;
+        base += towers;
     }
-
-    // Serial: one batched all-towers transform launch per set.
-    const KernelImage &k =
-        kernel(inverse ? KernelKind::BatchedInverseNtt
-                       : KernelKind::BatchedForwardNtt,
-               n, moduli, opts);
-    for (size_t s = 0; s < sets; ++s) {
-        std::vector<std::vector<u128>> in;
-        in.reserve(towers);
-        for (size_t t = 0; t < towers; ++t)
-            in.push_back(std::move(xs[s][t]));
-        pending[s].futures.push_back(launchAsync(k, std::move(in)));
-    }
-    return pending;
+    return tiles;
 }
 
-std::vector<PendingTowerProducts>
-RpuDevice::pointwiseTowersBatchAsync(
-    uint64_t n, const std::vector<u128> &moduli,
-    std::vector<std::vector<std::vector<u128>>> a,
-    std::vector<std::vector<std::vector<u128>>> b,
-    const NttCodegenOptions &opts)
+std::vector<TowerSet>
+RpuDevice::executeTiles(
+    TowerOp op, const std::vector<size_t> &itemTowers,
+    const std::vector<TowerTile> &tiles, std::vector<TowerSet> a,
+    std::vector<TowerSet> b,
+    const std::function<void(std::vector<TowerSet> &io)> &launchTiles)
 {
-    return pairProductsBatchAsync(KernelKind::PointwiseMul,
-                                  KernelKind::PointwiseMulBatched, n,
-                                  moduli, std::move(a), std::move(b),
-                                  opts);
-}
-
-std::vector<std::vector<std::vector<u128>>>
-RpuDevice::transformCoalesced(
-    uint64_t n, const std::vector<std::vector<u128>> &moduli,
-    std::vector<std::vector<std::vector<u128>>> xs, bool inverse,
-    const NttCodegenOptions &opts)
-{
-    const size_t items = moduli.size();
-    rpu_assert(xs.size() == items, "item count mismatch");
-
-    std::vector<u128> tiled;
-    for (size_t i = 0; i < items; ++i) {
-        rpu_assert(xs[i].size() == moduli[i].size(),
-                   "tower count mismatch in item %zu", i);
-        tiled.insert(tiled.end(), moduli[i].begin(), moduli[i].end());
-    }
-
-    std::vector<std::vector<u128>> in;
-    in.reserve(tiled.size());
-    for (auto &item : xs)
-        for (auto &tower : item)
-            in.push_back(std::move(tower));
-
-    // One launch per <= kMaxBatchedTowers group of the tiled chain
-    // (the batched-kernel register budget), so a chunk costs
-    // ceil(towers / budget) launches however many items it merged.
-    std::vector<std::vector<u128>> flat;
-    flat.reserve(tiled.size());
-    for (size_t g = 0; g < tiled.size(); g += kMaxBatchedTowers) {
-        const size_t end =
-            std::min(tiled.size(), g + kMaxBatchedTowers);
-        const std::vector<u128> group(tiled.begin() + g,
-                                      tiled.begin() + end);
-        const KernelImage &k =
-            kernel(inverse ? KernelKind::BatchedInverseNtt
-                           : KernelKind::BatchedForwardNtt,
-                   n, group, opts);
-        std::vector<std::vector<u128>> part = launch(
-            k, std::vector<std::vector<u128>>(
-                   std::make_move_iterator(in.begin() + g),
-                   std::make_move_iterator(in.begin() + end)));
-        for (auto &r : part)
-            flat.push_back(std::move(r));
-    }
-
-    std::vector<std::vector<std::vector<u128>>> out(items);
-    size_t f = 0;
-    for (size_t i = 0; i < items; ++i) {
-        out[i].reserve(moduli[i].size());
-        for (size_t t = 0; t < moduli[i].size(); ++t)
-            out[i].push_back(std::move(flat[f++]));
-    }
-    return out;
-}
-
-std::vector<std::vector<std::vector<u128>>>
-RpuDevice::pointwiseCoalesced(
-    uint64_t n, const std::vector<std::vector<u128>> &moduli,
-    std::vector<std::vector<std::vector<u128>>> a,
-    std::vector<std::vector<std::vector<u128>>> b,
-    const NttCodegenOptions &opts)
-{
-    const size_t items = moduli.size();
-    rpu_assert(a.size() == items && b.size() == items,
+    const bool pointwise = op == TowerOp::Pointwise;
+    const size_t items = itemTowers.size();
+    rpu_assert(a.size() == items && b.size() == (pointwise ? items : 0),
                "item count mismatch");
 
-    std::vector<u128> tiled;
+    // Flatten: per tower, the a operand, then (pointwise) the b
+    // operand — the region layout of one PointwiseMulBatched pair, so
+    // a tower's two regions always land in the same tile.
+    std::vector<std::vector<u128>> flat;
     for (size_t i = 0; i < items; ++i) {
-        rpu_assert(a[i].size() == moduli[i].size() &&
-                       b[i].size() == moduli[i].size(),
+        rpu_assert(a[i].size() == itemTowers[i] &&
+                       (!pointwise || b[i].size() == itemTowers[i]),
                    "tower count mismatch in item %zu", i);
-        tiled.insert(tiled.end(), moduli[i].begin(), moduli[i].end());
-    }
-
-    // Same region layout as one PointwiseMulBatched pair: per flat
-    // tower, the a operand then the b operand.
-    std::vector<std::vector<u128>> in;
-    in.reserve(2 * tiled.size());
-    for (size_t i = 0; i < items; ++i) {
-        for (size_t t = 0; t < moduli[i].size(); ++t) {
-            in.push_back(std::move(a[i][t]));
-            in.push_back(std::move(b[i][t]));
+        for (size_t t = 0; t < itemTowers[i]; ++t) {
+            flat.push_back(std::move(a[i][t]));
+            if (pointwise)
+                flat.push_back(std::move(b[i][t]));
         }
     }
-
-    // Tiled into <= kMaxBatchedTowers launches like the transforms;
-    // a tower's a/b regions always land in the same group.
-    std::vector<std::vector<u128>> flat;
-    flat.reserve(tiled.size());
-    for (size_t g = 0; g < tiled.size(); g += kMaxBatchedTowers) {
-        const size_t end =
-            std::min(tiled.size(), g + kMaxBatchedTowers);
-        const std::vector<u128> group(tiled.begin() + g,
-                                      tiled.begin() + end);
-        const KernelImage &k =
-            kernel(KernelKind::PointwiseMulBatched, n, group, opts);
-        std::vector<std::vector<u128>> part = launch(
-            k, std::vector<std::vector<u128>>(
-                   std::make_move_iterator(in.begin() + 2 * g),
-                   std::make_move_iterator(in.begin() + 2 * end)));
-        for (auto &r : part)
-            flat.push_back(std::move(r));
+    const size_t per_tower = pointwise ? 2 : 1;
+    std::vector<TowerSet> io(tiles.size());
+    for (size_t g = 0; g < tiles.size(); ++g) {
+        io[g].assign(
+            std::make_move_iterator(flat.begin() +
+                                    per_tower * tiles[g].begin),
+            std::make_move_iterator(flat.begin() +
+                                    per_tower * tiles[g].end));
     }
 
-    std::vector<std::vector<std::vector<u128>>> out(items);
+    launchTiles(io);
+
+    // Tiles cover the chain in order with one output region per
+    // tower, so the outputs concatenate back into the flat chain.
+    flat.clear();
+    for (TowerSet &part : io)
+        for (auto &r : part)
+            flat.push_back(std::move(r));
+    std::vector<TowerSet> out(items);
     size_t f = 0;
     for (size_t i = 0; i < items; ++i) {
-        out[i].reserve(moduli[i].size());
-        for (size_t t = 0; t < moduli[i].size(); ++t)
-            out[i].push_back(std::move(flat[f++]));
+        rpu_assert(f + itemTowers[i] <= flat.size(),
+                   "tiles resolved to %zu regions, too few for item %zu",
+                   flat.size(), i);
+        out[i].assign(std::make_move_iterator(flat.begin() + f),
+                      std::make_move_iterator(flat.begin() + f +
+                                              itemTowers[i]));
+        f += itemTowers[i];
     }
     return out;
 }
 
-std::vector<std::vector<u128>>
-RpuDevice::collectTowers(PendingTowerProducts pending)
+std::vector<TowerSet>
+RpuDevice::runTowers(TowerOp op, uint64_t n,
+                     const std::vector<u128> &moduli,
+                     std::vector<TowerSet> a, std::vector<TowerSet> b,
+                     const NttCodegenOptions &opts)
 {
-    // Both dispatch shapes flatten to one region per tower: the
-    // batched kernel is one future whose outputs are the towers'
-    // "t<i>.a" regions in basis order, the per-tower fan-out is one
-    // single-region future per tower in the same order.
-    auto results = whenAll(std::move(pending.futures));
-    std::vector<std::vector<u128>> out;
-    out.reserve(pending.towers);
-    for (auto &regions : results) {
-        for (auto &r : regions)
-            out.push_back(std::move(r));
+    const std::vector<size_t> item_towers(a.size(), moduli.size());
+    const bool per_tower = pool_ && a.size() * moduli.size() > 1;
+    const std::vector<TowerTile> tiles =
+        cutTiles(op, item_towers, per_tower);
+
+    // Every item tiles the basis identically: look item 0's tile
+    // kernels up once and reuse them for every item.
+    const size_t per_item = a.empty() ? 0 : tiles.size() / a.size();
+    std::vector<const KernelImage *> images;
+    for (size_t g = 0; g < per_item; ++g) {
+        images.push_back(&kernel(
+            tiles[g].kind, n,
+            {moduli.begin() + tiles[g].begin,
+             moduli.begin() + tiles[g].end},
+            opts));
     }
-    rpu_assert(out.size() == pending.towers,
-               "pending pair resolved to %zu regions, expected %zu",
-               out.size(), pending.towers);
-    return out;
+
+    // launchAsync runs inline on a serial device; on a pooled one the
+    // launches structurally fill min(workers, launches) lanes.
+    const unsigned lanes =
+        unsigned(std::min<size_t>(parallelism(), tiles.size()));
+    return executeTiles(
+        op, item_towers, tiles, std::move(a), std::move(b),
+        [&](std::vector<TowerSet> &io) {
+            std::vector<LaunchFuture> futures;
+            futures.reserve(io.size());
+            for (size_t g = 0; g < io.size(); ++g) {
+                futures.push_back(launchAsync(*images[g % per_item],
+                                              std::move(io[g]), lanes));
+            }
+            io = whenAll(std::move(futures));
+        });
 }
 
 } // namespace rpu

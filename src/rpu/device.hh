@@ -23,7 +23,13 @@
  *    paper's "process different towers simultaneously" — and, with
  *    setParallelism(w > 1), actually execute them concurrently on a
  *    worker pool, with request-ordered results bit-identical to the
- *    serial path.
+ *    serial path;
+ *  - one tile executor (runTowers) for every multi-tower op: items'
+ *    towers are flattened, cut into tiles by cutTiles, and launched
+ *    one kernel per tile — batched per item on a serial device, one
+ *    single-ring launch per tower across a pooled device's workers.
+ *    RpuTopology::runTowers drives the same executor over packed
+ *    tiles spread across devices.
  */
 
 #ifndef RPU_RPU_DEVICE_HH
@@ -32,6 +38,7 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -372,18 +379,25 @@ struct LaunchRequest
 /** The future every asynchronous launch path resolves to. */
 using LaunchFuture = std::future<std::vector<std::vector<u128>>>;
 
-/**
- * The still-running tower products of one operand pair, as returned
- * by mulTowersBatchAsync(). Joining (collectTowers) yields one
- * product polynomial per tower, in basis order, regardless of whether
- * the pair ran as one batched all-towers launch (one future, one
- * output region per tower) or as per-tower launches fanned across the
- * worker pool (one single-region future per tower).
- */
-struct PendingTowerProducts
+/** The tower op one multi-tower dispatch performs. */
+enum class TowerOp
 {
-    std::vector<LaunchFuture> futures;
-    size_t towers = 0;
+    Forward,   ///< forward NTT of every tower
+    Inverse,   ///< inverse NTT of every tower
+    Pointwise, ///< a .* b of every tower (two input regions per tower)
+};
+
+/** One item's residues (a ciphertext component, a plaintext, ...),
+ *  one vector per tower. */
+using TowerSet = std::vector<std::vector<u128>>;
+
+/** One launch of the tile executor: towers [begin, end) of a
+ *  flattened tower chain, run as one @p kind kernel. */
+struct TowerTile
+{
+    size_t begin = 0;
+    size_t end = 0;
+    KernelKind kind = KernelKind::kCount;
 };
 
 /** An RPU: kernel cache + context caches + execution backend. */
@@ -581,64 +595,6 @@ class RpuDevice
                           bool inverse = false,
                           const NttCodegenOptions &opts = {});
 
-    /** Fused negacyclic product of @p a and @p b in one launch. */
-    std::vector<u128> negacyclicMul(uint64_t n, u128 q,
-                                    const std::vector<u128> &a,
-                                    const std::vector<u128> &b,
-                                    const NttCodegenOptions &opts = {});
-
-    /**
-     * All towers' negacyclic products:
-     * result[t] = INTT_t(NTT_t(a[t]) .* NTT_t(b[t])) mod moduli[t].
-     * Serially this is one batched kernel launch; with
-     * parallelism() > 1 each tower becomes its own single-ring launch
-     * and the towers overlap across the worker pool (bit-identical
-     * results either way). Operands are taken by value: pass rvalues
-     * to avoid the copy.
-     */
-    std::vector<std::vector<u128>>
-    mulTowers(uint64_t n, const std::vector<u128> &moduli,
-              std::vector<std::vector<u128>> a,
-              std::vector<std::vector<u128>> b,
-              const NttCodegenOptions &opts = {});
-
-    /**
-     * Many independent multi-tower products over one basis in a
-     * single dispatch decision:
-     * result[p][t] = INTT_t(NTT_t(a[p][t]) .* NTT_t(b[p][t])).
-     * Serially each pair is one batched all-towers launch, pushed
-     * through the backend as one batch; with parallelism() > 1 every
-     * (pair, tower) product becomes its own single-ring launch and
-     * they all overlap across the worker pool — keeping the dispatch
-     * policy here rather than in callers. Operand tower sets are
-     * consumed: taken by value and moved into the launch requests, so
-     * rvalue operands are never copied.
-     */
-    std::vector<std::vector<std::vector<u128>>>
-    mulTowersBatch(uint64_t n, const std::vector<u128> &moduli,
-                   std::vector<std::vector<std::vector<u128>>> a,
-                   std::vector<std::vector<std::vector<u128>>> b,
-                   const NttCodegenOptions &opts = {});
-
-    /**
-     * Asynchronous mulTowersBatch: same operands, same dispatch
-     * policy (serial devices stage one batched all-towers launch per
-     * pair, pooled devices one single-ring launch per (pair, tower)),
-     * but returns per-pair pending futures instead of joining. BFV
-     * and CKKS use this to overlap the CRT reconstruction / residue
-     * assembly of early pairs with launches that are still running.
-     * Join each pair with collectTowers, in any order.
-     */
-    std::vector<PendingTowerProducts>
-    mulTowersBatchAsync(uint64_t n, const std::vector<u128> &moduli,
-                        std::vector<std::vector<std::vector<u128>>> a,
-                        std::vector<std::vector<std::vector<u128>>> b,
-                        const NttCodegenOptions &opts = {});
-
-    /** Join one pending pair into its tower products (basis order). */
-    static std::vector<std::vector<u128>>
-    collectTowers(PendingTowerProducts pending);
-
     /**
      * Pointwise (evaluation-domain) product a .* b in one launch —
      * the whole homomorphic multiply once operands are NTT-resident.
@@ -648,97 +604,75 @@ class RpuDevice
                                    const std::vector<u128> &b,
                                    const NttCodegenOptions &opts = {});
 
-    /**
-     * Forward or inverse NTT of every tower of several residue
-     * polynomials in one dispatch decision — the launch stream a
-     * domain-resident ciphertext issues at a Coeff<->Eval boundary.
-     * Serially each set is one batched all-towers launch; with
-     * parallelism() > 1 every (set, tower) transform becomes its own
-     * single-ring launch across the worker pool (bit-identical either
-     * way). Join each set with collectTowers, in any order.
-     */
-    std::vector<PendingTowerProducts>
-    transformTowersBatchAsync(uint64_t n, const std::vector<u128> &moduli,
-                              std::vector<std::vector<std::vector<u128>>> xs,
-                              bool inverse,
-                              const NttCodegenOptions &opts = {});
-
-    /**
-     * Pointwise tower products of many operand pairs over one basis:
-     * result[p][t] = a[p][t] .* b[p][t] mod moduli[t], with the same
-     * dispatch policy split as mulTowersBatchAsync (serial: one
-     * PointwiseMulBatched launch per pair; pooled: one PointwiseMul
-     * launch per (pair, tower)). This is mulTowersBatchAsync minus
-     * every butterfly stage — what the ciphertext hot loop launches
-     * when both operands are evaluation-domain resident.
-     */
-    std::vector<PendingTowerProducts>
-    pointwiseTowersBatchAsync(uint64_t n, const std::vector<u128> &moduli,
-                              std::vector<std::vector<std::vector<u128>>> a,
-                              std::vector<std::vector<std::vector<u128>>> b,
-                              const NttCodegenOptions &opts = {});
-
-    // -- Cross-item coalescing -------------------------------------------
+    // -- Multi-tower dispatch: the tile executor -------------------------
     //
-    // The serving layer's batching hooks: many *independent* items —
-    // typically requests from different tenants whose parameter sets
-    // share the ring dimension and (a prefix of) the same modulus
-    // chain — merge into batched kernels over the concatenated
-    // (tiled) moduli list, split only where the batched-kernel
-    // register budget forces it: ceil(towers / kMaxBatchedTowers)
-    // launches per call, however many items were merged. The batched
-    // kernel kinds already compute each region's ring independently,
-    // so the result is bit-identical to launching the items
-    // separately (a tier-1 test pins this); what changes is the
-    // ledger: a handful of launches where the uncoalesced path pays
-    // at least one per item, while the semantic tower-granular
-    // transform/pointwise counts stay exactly equal. Items may have
-    // different tower counts (tenants at different levels); results
-    // come back per item, in item order.
+    // Every multi-tower op — the forward/inverse NTTs a domain-resident
+    // ciphertext issues at a Coeff<->Eval boundary, and the pointwise
+    // products of its hot loop — runs through one executor: flatten
+    // the items' towers into a chain, cut tiles (cutTiles), choose one
+    // kernel per tile, launch, and unflatten per item. The batched
+    // kinds compute each region's ring independently, so results are
+    // bit-identical whatever the tile shape; only the ledger (how many
+    // launches, on which lanes) follows the shape. There are two entry
+    // points: runTowers below (the per-item shape of one device) and
+    // RpuTopology::runTowers (the packed shape, tiles spread across
+    // devices by a placement plan).
 
     /** Towers one batched kernel can carry — the per-tower modulus /
      *  scalar / data-pointer register budget in the codegen. */
     static constexpr size_t kMaxBatchedTowers = 16;
 
     /**
-     * Forward or inverse NTT of every tower of every item:
-     * result[i][t] = NTT_{moduli[i][t]}(xs[i][t]) (or the inverse).
-     * BatchedForward/InverseNtt launches over the tiled moduli,
-     * regardless of parallelism — coalescing trades the pool fan-out
-     * for launch-count reduction by design.
+     * Tile geometry and kernel choice of every multi-tower dispatch —
+     * the one function the executor, the topology's planners
+     * (RpuTopology::tileGroups) and the server's prewarm derive from.
+     * The chain is the concatenation of @p segments: tower runs that
+     * never share a tile (one per item, or the whole packed chain as
+     * one segment). @p perTower cuts one single-ring tile per tower
+     * (ForwardNtt / InverseNtt / PointwiseMul); otherwise each segment
+     * is cut into <= kMaxBatchedTowers tiles of the batched kind
+     * (BatchedForwardNtt / BatchedInverseNtt / PointwiseMulBatched).
      */
-    std::vector<std::vector<std::vector<u128>>>
-    transformCoalesced(uint64_t n,
-                       const std::vector<std::vector<u128>> &moduli,
-                       std::vector<std::vector<std::vector<u128>>> xs,
-                       bool inverse, const NttCodegenOptions &opts = {});
+    static std::vector<TowerTile>
+    cutTiles(TowerOp op, const std::vector<size_t> &segments,
+             bool perTower);
 
     /**
-     * Pointwise tower products of every item: result[i][t] =
-     * a[i][t] .* b[i][t] mod moduli[i][t], as PointwiseMulBatched
-     * launches over the tiled moduli.
+     * @p op on every tower of every item over one shared basis:
+     * result[i][t] = NTT_t(a[i][t]) (Forward / Inverse) or
+     * a[i][t] .* b[i][t] (Pointwise; @p b empty otherwise), in item
+     * order. A serial device makes one batched launch per item (per
+     * <= kMaxBatchedTowers tile of it); a pooled device makes one
+     * single-ring launch per (item, tower), fanned across the workers
+     * with the min(workers, launches) structural-lane hint — the
+     * paper's "process different towers simultaneously". Kernels are
+     * looked up once per call per distinct tile of the basis. Every
+     * launch joins before the first failure (if any) is rethrown.
      */
-    std::vector<std::vector<std::vector<u128>>>
-    pointwiseCoalesced(uint64_t n,
-                       const std::vector<std::vector<u128>> &moduli,
-                       std::vector<std::vector<std::vector<u128>>> a,
-                       std::vector<std::vector<std::vector<u128>>> b,
-                       const NttCodegenOptions &opts = {});
+    std::vector<TowerSet> runTowers(TowerOp op, uint64_t n,
+                                    const std::vector<u128> &moduli,
+                                    std::vector<TowerSet> a,
+                                    std::vector<TowerSet> b = {},
+                                    const NttCodegenOptions &opts = {});
 
   private:
+    // RpuTopology::runTowers drives executeTiles with its own
+    // per-device launcher.
+    friend class RpuTopology;
+
     /**
-     * Shared body of the two pair-product dispatch families
-     * (mulTowersBatchAsync / pointwiseTowersBatchAsync): the policy
-     * split — one @p batched all-towers launch per pair serially,
-     * one @p single launch per (pair, tower) across the pool — lives
-     * here exactly once.
+     * The executor body both entry points share: check the items
+     * against @p itemTowers, flatten @p a (with @p b interleaved per
+     * tower for Pointwise) into per-tile input regions, hand them to
+     * @p launchTiles — which replaces io[g] with tile g's outputs,
+     * one region per tower — and unflatten the outputs per item.
      */
-    std::vector<PendingTowerProducts>
-    pairProductsBatchAsync(KernelKind single, KernelKind batched,
-                           uint64_t n, const std::vector<u128> &moduli,
-                           std::vector<std::vector<std::vector<u128>>> a,
-                           std::vector<std::vector<std::vector<u128>>> b,
-                           const NttCodegenOptions &opts);
+    static std::vector<TowerSet>
+    executeTiles(TowerOp op, const std::vector<size_t> &itemTowers,
+                 const std::vector<TowerTile> &tiles,
+                 std::vector<TowerSet> a, std::vector<TowerSet> b,
+                 const std::function<void(std::vector<TowerSet> &io)>
+                     &launchTiles);
 
     std::string kernelKey(KernelKind kind, uint64_t n,
                           const std::vector<u128> &moduli,

@@ -74,188 +74,72 @@ RpuTopology::makespanCycles(const Snapshot &snap)
     return worst;
 }
 
-std::vector<std::vector<std::vector<u128>>>
-RpuTopology::transformSharded(
-    const std::vector<size_t> &plan, uint64_t n,
-    const std::vector<std::vector<u128>> &moduli,
-    std::vector<std::vector<std::vector<u128>>> xs, bool inverse,
-    const NttCodegenOptions &opts)
+std::vector<TowerSet>
+RpuTopology::runTowers(const std::vector<size_t> &plan, TowerOp op,
+                       uint64_t n,
+                       const std::vector<std::vector<u128>> &moduli,
+                       std::vector<TowerSet> a, std::vector<TowerSet> b,
+                       const NttCodegenOptions &opts)
 {
-    const size_t items = moduli.size();
-    rpu_assert(xs.size() == items, "item count mismatch");
-
-    // A uniform plan is the whole call on one device — route through
-    // its own coalesced hook so the degenerate case is the identical
-    // code path (same launches, same ledger), not a reimplementation.
-    const bool uniform =
-        std::all_of(plan.begin(), plan.end(),
-                    [&](size_t d) { return d == plan.front(); });
-    if (plan.empty() || uniform) {
-        const size_t d = plan.empty() ? 0 : plan.front();
-        return device(d)->transformCoalesced(n, moduli, std::move(xs),
-                                             inverse, opts);
+    std::vector<u128> chain;
+    std::vector<size_t> item_towers;
+    for (const std::vector<u128> &m : moduli) {
+        chain.insert(chain.end(), m.begin(), m.end());
+        item_towers.push_back(m.size());
     }
+    const std::vector<TowerTile> tiles =
+        RpuDevice::cutTiles(op, {chain.size()}, false);
+    rpu_assert(plan.size() == tiles.size(),
+               "plan covers %zu tiles, chain cuts into %zu", plan.size(),
+               tiles.size());
 
-    std::vector<u128> tiled;
-    std::vector<std::vector<u128>> regions;
-    for (size_t i = 0; i < items; ++i) {
-        rpu_assert(xs[i].size() == moduli[i].size(),
-                   "tower count mismatch in item %zu", i);
-        tiled.insert(tiled.end(), moduli[i].begin(), moduli[i].end());
-        for (auto &tower : xs[i])
-            regions.push_back(std::move(tower));
-    }
-
-    std::vector<std::vector<u128>> flat = runShardedFlat(
-        plan, n, tiled, std::move(regions), false, inverse, opts);
-
-    std::vector<std::vector<std::vector<u128>>> out(items);
-    size_t f = 0;
-    for (size_t i = 0; i < items; ++i) {
-        out[i].reserve(moduli[i].size());
-        for (size_t t = 0; t < moduli[i].size(); ++t)
-            out[i].push_back(std::move(flat[f++]));
-    }
-    return out;
-}
-
-std::vector<std::vector<std::vector<u128>>>
-RpuTopology::pointwiseSharded(
-    const std::vector<size_t> &plan, uint64_t n,
-    const std::vector<std::vector<u128>> &moduli,
-    std::vector<std::vector<std::vector<u128>>> a,
-    std::vector<std::vector<std::vector<u128>>> b,
-    const NttCodegenOptions &opts)
-{
-    const size_t items = moduli.size();
-    rpu_assert(a.size() == items && b.size() == items,
-               "item count mismatch");
-
-    const bool uniform =
-        std::all_of(plan.begin(), plan.end(),
-                    [&](size_t d) { return d == plan.front(); });
-    if (plan.empty() || uniform) {
-        const size_t d = plan.empty() ? 0 : plan.front();
-        return device(d)->pointwiseCoalesced(n, moduli, std::move(a),
-                                             std::move(b), opts);
-    }
-
-    // Same region layout as one PointwiseMulBatched pair: per flat
-    // tower, the a operand then the b operand.
-    std::vector<u128> tiled;
-    std::vector<std::vector<u128>> regions;
-    for (size_t i = 0; i < items; ++i) {
-        rpu_assert(a[i].size() == moduli[i].size() &&
-                       b[i].size() == moduli[i].size(),
-                   "tower count mismatch in item %zu", i);
-        tiled.insert(tiled.end(), moduli[i].begin(), moduli[i].end());
-        for (size_t t = 0; t < moduli[i].size(); ++t) {
-            regions.push_back(std::move(a[i][t]));
-            regions.push_back(std::move(b[i][t]));
-        }
-    }
-
-    std::vector<std::vector<u128>> flat = runShardedFlat(
-        plan, n, tiled, std::move(regions), true, false, opts);
-
-    std::vector<std::vector<std::vector<u128>>> out(items);
-    size_t f = 0;
-    for (size_t i = 0; i < items; ++i) {
-        out[i].reserve(moduli[i].size());
-        for (size_t t = 0; t < moduli[i].size(); ++t)
-            out[i].push_back(std::move(flat[f++]));
-    }
-    return out;
-}
-
-std::vector<std::vector<u128>>
-RpuTopology::runShardedFlat(const std::vector<size_t> &plan, uint64_t n,
-                            const std::vector<u128> &tiled,
-                            std::vector<std::vector<u128>> regions,
-                            bool pointwise, bool inverse,
-                            const NttCodegenOptions &opts)
-{
-    const size_t groups = tileGroups(tiled.size());
-    rpu_assert(plan.size() == groups,
-               "plan covers %zu groups, chain tiles into %zu",
-               plan.size(), groups);
-    for (size_t d : plan) {
-        rpu_assert(d < devices_.size(),
-                   "plan routes to device %zu of %zu", d,
-                   devices_.size());
-    }
-
-    const KernelKind kind =
-        pointwise ? KernelKind::PointwiseMulBatched
-                  : (inverse ? KernelKind::BatchedInverseNtt
-                             : KernelKind::BatchedForwardNtt);
-    const size_t step = RpuDevice::kMaxBatchedTowers;
-    const size_t per_tower = pointwise ? 2 : 1;
-
-    // One launch per tile group, on the planned device; a group's
-    // result lands in its own slot so reassembly is order-stable
-    // however the devices interleave.
-    std::vector<std::vector<std::vector<u128>>> group_out(groups);
-    const auto runGroup = [&](size_t g) {
-        const size_t begin = g * step;
-        const size_t end = std::min(tiled.size(), begin + step);
-        RpuDevice &dev = *devices_[plan[g]];
-        const std::vector<u128> group_moduli(tiled.begin() + begin,
-                                             tiled.begin() + end);
-        const KernelImage &k = dev.kernel(kind, n, group_moduli, opts);
-        group_out[g] = dev.launch(
-            k, std::vector<std::vector<u128>>(
-                   std::make_move_iterator(regions.begin() +
-                                           per_tower * begin),
-                   std::make_move_iterator(regions.begin() +
-                                           per_tower * end)));
-    };
-
-    // Groups per device, in tile order; devices overlap on real
-    // threads (the caller's thread runs the first occupied device).
+    // Tiles per device, in tile order.
     std::vector<std::vector<size_t>> by_device(devices_.size());
-    for (size_t g = 0; g < groups; ++g)
+    for (size_t g = 0; g < tiles.size(); ++g) {
+        rpu_assert(plan[g] < devices_.size(),
+                   "plan routes to device %zu of %zu", plan[g],
+                   devices_.size());
         by_device[plan[g]].push_back(g);
+    }
     std::vector<size_t> occupied;
     for (size_t d = 0; d < by_device.size(); ++d) {
         if (!by_device[d].empty())
             occupied.push_back(d);
     }
 
-    std::vector<std::thread> threads;
-    std::vector<std::exception_ptr> errors(occupied.size());
-    for (size_t i = 1; i < occupied.size(); ++i) {
-        threads.emplace_back([&, i] {
+    const auto launchTiles = [&](std::vector<TowerSet> &io) {
+        // One device's tiles; a failure stops that device and is
+        // rethrown once every device has joined.
+        std::vector<std::exception_ptr> errors(occupied.size());
+        const auto runDevice = [&](size_t i) {
+            RpuDevice &dev = *devices_[occupied[i]];
             try {
-                for (size_t g : by_device[occupied[i]])
-                    runGroup(g);
+                for (size_t g : by_device[occupied[i]]) {
+                    const TowerTile &t = tiles[g];
+                    const KernelImage &k = dev.kernel(
+                        t.kind, n,
+                        {chain.begin() + t.begin, chain.begin() + t.end},
+                        opts);
+                    io[g] = dev.launch(k, io[g]);
+                }
             } catch (...) {
                 errors[i] = std::current_exception();
             }
-        });
-    }
-    try {
-        for (size_t g : by_device[occupied.front()])
-            runGroup(g);
-    } catch (...) {
-        errors[0] = std::current_exception();
-    }
-    for (std::thread &t : threads)
-        t.join();
-    for (const std::exception_ptr &e : errors) {
-        if (e)
-            std::rethrow_exception(e);
-    }
-
-    std::vector<std::vector<u128>> flat;
-    flat.reserve(tiled.size());
-    for (auto &part : group_out)
-        for (auto &r : part)
-            flat.push_back(std::move(r));
-    rpu_assert(flat.size() == tiled.size(),
-               "sharded launches resolved to %zu regions, expected %zu",
-               flat.size(), tiled.size());
-    return flat;
+        };
+        std::vector<std::thread> threads;
+        for (size_t i = 1; i < occupied.size(); ++i)
+            threads.emplace_back(runDevice, i);
+        if (!occupied.empty())
+            runDevice(0);
+        for (std::thread &t : threads)
+            t.join();
+        for (const std::exception_ptr &e : errors) {
+            if (e)
+                std::rethrow_exception(e);
+        }
+    };
+    return RpuDevice::executeTiles(op, item_towers, tiles, std::move(a),
+                                   std::move(b), launchTiles);
 }
 
 } // namespace rpu

@@ -22,14 +22,13 @@
  *    makespan of the same work on one device — the capacity-planning
  *    signal the sharding bench sweeps.
  *
- * Finally, the sharded coalesced hooks (transformSharded /
- * pointwiseSharded) take the serving layer's tiled batched launches
- * and spread the <= kMaxBatchedTowers tile groups across devices
- * according to a placement plan, overlapping devices on real threads.
- * Group boundaries are identical to the single-device coalesced path
- * and every group's math is independent, so results are bit-identical
- * to RpuDevice::transformCoalesced / pointwiseCoalesced whatever the
- * plan — only the ledger (which device paid which launches) moves.
+ * Finally, runTowers is the packed shape of the device layer's tile
+ * executor: the serving layer's coalesced chains are cut into
+ * <= kMaxBatchedTowers tiles and each tile runs on the device a
+ * placement plan names, devices overlapping on real threads. Every
+ * tile's math is independent, so results are bit-identical whatever
+ * the plan — only the ledger (which device paid which launches)
+ * moves.
  */
 
 #ifndef RPU_RPU_TOPOLOGY_HH
@@ -108,84 +107,57 @@ class RpuTopology
         return makespanCycles(snapshot());
     }
 
-    // -- Sharded coalesced launches --------------------------------------
+    // -- Packed multi-tower dispatch -------------------------------------
 
-    /** Tile-group count of a @p towers-long tiled chain: the number
-     *  of launches the coalesced hooks split it into, and the length
-     *  of a placement plan. */
+    /** Tile count of a @p towers-long packed chain: the number of
+     *  launches runTowers splits it into, and the length of its
+     *  placement plan. */
     static size_t tileGroups(size_t towers)
     {
-        return (towers + RpuDevice::kMaxBatchedTowers - 1) /
-               RpuDevice::kMaxBatchedTowers;
+        return RpuDevice::cutTiles(TowerOp::Forward, {towers}, false)
+            .size();
     }
 
-    /** Tower count of each tile group of a @p towers-long tiled
-     *  chain — full kMaxBatchedTowers groups plus the remainder.
-     *  Matches the group boundaries the coalesced hooks cut, so a
-     *  planner can weigh each launch of a stage before building its
-     *  plan. */
-    static std::vector<size_t> groupTowerCounts(size_t towers)
-    {
-        std::vector<size_t> counts(tileGroups(towers),
-                                   RpuDevice::kMaxBatchedTowers);
-        if (!counts.empty() && towers % RpuDevice::kMaxBatchedTowers)
-            counts.back() = towers % RpuDevice::kMaxBatchedTowers;
-        return counts;
-    }
-
-    /** groupTowerCounts scaled by a per-tower cost weight: the
-     *  stage-weight vector MakespanScheduler::splitPlans consumes. */
+    /** Tower count of each tile of a @p towers-long packed chain,
+     *  scaled by a per-tower cost weight: the stage-weight vector
+     *  MakespanScheduler::splitPlans consumes, so a planner weighs
+     *  exactly the launches runTowers will make. */
     static std::vector<double> groupWeights(size_t towers,
                                             double perTower)
     {
         std::vector<double> w;
-        for (size_t t : groupTowerCounts(towers))
-            w.push_back(double(t) * perTower);
+        for (const TowerTile &t :
+             RpuDevice::cutTiles(TowerOp::Forward, {towers}, false))
+            w.push_back(double(t.end - t.begin) * perTower);
         return w;
     }
 
     /**
-     * RpuDevice::transformCoalesced with the tiled launches spread
-     * across the topology: group g of the flattened chain executes on
-     * device plan[g]. plan.size() must equal tileGroups(total
-     * towers); groups placed on different devices run concurrently
-     * (one thread per occupied device), groups on the same device run
-     * in tile order on it. A uniform plan routes the whole call to
-     * that one device's coalesced hook — the 1-device degeneracy is
-     * the identical code path, not a lookalike.
+     * The packed shape of the tile executor (RpuDevice::executeTiles):
+     * @p op on every tower of every item, items over their own
+     * (possibly ragged) chains @p moduli, concatenated and cut into
+     * <= kMaxBatchedTowers batched tiles — ceil(towers / budget)
+     * launches however many items were merged, the serving layer's
+     * cross-tenant coalescing. Tile g runs on device plan[g];
+     * plan.size() must equal tileGroups(total towers). The caller's
+     * thread runs the first occupied device and every other occupied
+     * device overlaps on its own thread; a device runs its tiles in
+     * tile order with inline launches. An all-zero plan on a 1-device
+     * topology is the single-device coalesced path. Results are
+     * bit-identical whatever the plan — only the ledger (which device
+     * paid which launches) moves. Every device joins before the first
+     * failure (if any) is rethrown.
      */
-    std::vector<std::vector<std::vector<u128>>>
-    transformSharded(const std::vector<size_t> &plan, uint64_t n,
-                     const std::vector<std::vector<u128>> &moduli,
-                     std::vector<std::vector<std::vector<u128>>> xs,
-                     bool inverse,
-                     const NttCodegenOptions &opts = {});
-
-    /** RpuDevice::pointwiseCoalesced, sharded the same way. */
-    std::vector<std::vector<std::vector<u128>>>
-    pointwiseSharded(const std::vector<size_t> &plan, uint64_t n,
-                     const std::vector<std::vector<u128>> &moduli,
-                     std::vector<std::vector<std::vector<u128>>> a,
-                     std::vector<std::vector<std::vector<u128>>> b,
-                     const NttCodegenOptions &opts = {});
+    std::vector<TowerSet> runTowers(const std::vector<size_t> &plan,
+                                    TowerOp op, uint64_t n,
+                                    const std::vector<std::vector<u128>>
+                                        &moduli,
+                                    std::vector<TowerSet> a,
+                                    std::vector<TowerSet> b = {},
+                                    const NttCodegenOptions &opts = {});
 
   private:
     RpuTopology() = default;
-
-    /**
-     * Shared body of the sharded hooks: execute each tile group of
-     * the flattened chain @p tiled on its planned device (transform:
-     * one input region per tower; pointwise: a/b region pairs) and
-     * return the flat per-tower outputs in tile order. @p pointwise
-     * selects the kernel kind and region layout; callers reassemble
-     * per item.
-     */
-    std::vector<std::vector<u128>>
-    runShardedFlat(const std::vector<size_t> &plan, uint64_t n,
-                   const std::vector<u128> &tiled,
-                   std::vector<std::vector<u128>> regions,
-                   bool pointwise, bool inverse,
-                   const NttCodegenOptions &opts);
 
     std::vector<std::shared_ptr<RpuDevice>> devices_;
 };

@@ -202,46 +202,44 @@ HeServer::prewarm()
                 execContext(*s, d);
         }
 
-        // Uncoalesced path on a serial device: plaintext entry, the
-        // per-pair pointwise dispatch, the dropped-tower inverses.
-        device_->kernel(KernelKind::BatchedForwardNtt, n, primes);
-        device_->kernel(KernelKind::PointwiseMulBatched, n, primes);
-        device_->kernel(KernelKind::InverseNtt, n, {q_l});
-        // A pooled device fans the same work per tower.
-        if (device_->parallelism() > 1) {
-            for (u128 q : primes) {
-                device_->kernel(KernelKind::ForwardNtt, n, {q});
-                device_->kernel(KernelKind::PointwiseMul, n, {q});
+        // Every tile shape below comes from RpuDevice::cutTiles, the
+        // function dispatch itself cuts with, so prewarm cannot drift
+        // from what the executor launches.
+        const auto warm = [&](TowerOp op, const std::vector<u128> &chain,
+                              bool perTower) {
+            for (const TowerTile &t :
+                 RpuDevice::cutTiles(op, {chain.size()}, perTower)) {
+                device_->kernel(t.kind, n,
+                                {chain.begin() + t.begin,
+                                 chain.begin() + t.end});
             }
+        };
+
+        // Uncoalesced path: plaintext entry and the per-pair
+        // pointwise dispatch (batched on a serial device, per tower on
+        // a pooled one), and rescale's dropped-tower inverse.
+        warm(TowerOp::Forward, primes, false);
+        warm(TowerOp::Pointwise, primes, false);
+        device_->kernel(KernelKind::InverseNtt, n, {q_l});
+        if (device_->parallelism() > 1) {
+            warm(TowerOp::Forward, primes, true);
+            warm(TowerOp::Pointwise, primes, true);
         }
         if (!cfg_.coalesce)
             continue;
 
-        // Coalesced chunk shapes: chunks come in power-of-two sizes
-        // and the coalesced hooks split tiled chains at the batched
-        // register budget, so warm exactly the per-group shapes those
-        // splits produce — the cache stays logarithmic in maxCoalesce
-        // per class and stage, not one entry per observed batch size.
-        const auto warmTiled = [&](KernelKind kind,
-                                   const std::vector<u128> &tiled) {
-            const size_t step = RpuDevice::kMaxBatchedTowers;
-            for (size_t g = 0; g < tiled.size(); g += step) {
-                const size_t end = std::min(tiled.size(), g + step);
-                device_->kernel(kind, n,
-                                std::vector<u128>(tiled.begin() + g,
-                                                  tiled.begin() + end));
-            }
-        };
+        // Coalesced chunk shapes: chunks come in power-of-two sizes,
+        // so the cache stays logarithmic in maxCoalesce per class and
+        // stage, not one entry per observed batch size.
         for (size_t k = 2; k <= pow2Floor(cfg_.maxCoalesce); k *= 2) {
             std::vector<u128> entry, pw;
             for (size_t i = 0; i < k; ++i)
                 entry.insert(entry.end(), primes.begin(), primes.end());
             for (size_t i = 0; i < 2 * k; ++i)
                 pw.insert(pw.end(), primes.begin(), primes.end());
-            warmTiled(KernelKind::BatchedForwardNtt, entry);
-            warmTiled(KernelKind::PointwiseMulBatched, pw);
-            warmTiled(KernelKind::BatchedInverseNtt,
-                      std::vector<u128>(2 * k, q_l));
+            warm(TowerOp::Forward, entry, false);
+            warm(TowerOp::Pointwise, pw, false);
+            warm(TowerOp::Inverse, std::vector<u128>(2 * k, q_l), false);
         }
     }
 }
@@ -593,8 +591,8 @@ HeServer::coalescedMulPlain(MakespanScheduler::Placement &placement,
     // per-region math whether a tower rides its own launch or a
     // tiled one (test_serve pins this end to end). Each stage's tile
     // groups spread across the topology per the scheduler's stage
-    // plan; on a 1-device topology every plan is uniform and the
-    // stages are the device's own coalesced hooks, unchanged.
+    // plan; on a 1-device topology every plan is all-zero, which is
+    // the single-device coalesced path.
     const size_t k = chunk.size();
     const uint64_t n = sessions[0]->config().params.n;
 
@@ -657,8 +655,8 @@ HeServer::coalescedMulPlain(MakespanScheduler::Placement &placement,
     std::vector<std::vector<std::vector<u128>>> pt_in(k);
     for (size_t i = 0; i < k; ++i)
         pt_in[i] = std::move(pts[i].rp.towers);
-    auto pt_eval = topology_->transformSharded(
-        plans[0], n, moduli, std::move(pt_in), false);
+    auto pt_eval = topology_->runTowers(plans[0], TowerOp::Forward, n,
+                                        moduli, std::move(pt_in));
 
     // Launch 2: both components of every ciphertext against its
     // plaintext — 2k items. The ciphertexts are read in place just
@@ -677,8 +675,9 @@ HeServer::coalescedMulPlain(MakespanScheduler::Placement &placement,
         sessions[i]->ctx().residueOps().noteElidedConversions(
             2 * moduli[i].size());
     }
-    auto prods = topology_->pointwiseSharded(
-        plans[1], n, pw_moduli, std::move(lhs), std::move(rhs));
+    auto prods = topology_->runTowers(plans[1], TowerOp::Pointwise, n,
+                                      pw_moduli, std::move(lhs),
+                                      std::move(rhs));
 
     std::vector<CkksCiphertext> prod(k);
     for (size_t i = 0; i < k; ++i) {
@@ -699,8 +698,8 @@ HeServer::coalescedMulPlain(MakespanScheduler::Placement &placement,
         inv_in[2 * i] = {prod[i].c0.towers.back()};
         inv_in[2 * i + 1] = {prod[i].c1.towers.back()};
     }
-    auto dropped = topology_->transformSharded(
-        plans[2], n, inv_moduli, std::move(inv_in), true);
+    auto dropped = topology_->runTowers(plans[2], TowerOp::Inverse, n,
+                                        inv_moduli, std::move(inv_in));
 
     // Host half, per request: finish the rescale and decrypt.
     for (size_t i = 0; i < k; ++i) {

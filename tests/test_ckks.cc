@@ -339,6 +339,39 @@ TEST(CkksOnDevice, RescaleBitIdenticalToHostOnEveryTower)
     EXPECT_EQ(s.forwardTransforms, 0u);
 }
 
+TEST(CkksOnDevice, PooledRescaleLedgerIsDeterministic)
+{
+    // A pooled rescale's two dropped-tower inverses structurally fill
+    // min(workers, 2) = 2 lanes. The busy ledger must report that
+    // contended cost on every run, not whatever lane overlap the OS
+    // happened to schedule.
+    CkksContext ctx(smallParams());
+    const CkksSecretKey sk = ctx.keygen();
+    const CkksCiphertext prod =
+        ctx.mulPlain(ctx.encrypt(sk, randomSlots(ctx.slots(), 41)),
+                     randomSlots(ctx.slots(), 43));
+
+    const auto device = std::make_shared<RpuDevice>();
+    device->setParallelism(4);
+    ctx.attachDevice(device);
+
+    const uint64_t n = ctx.params().n;
+    const KernelImage &k =
+        device->kernel(KernelKind::InverseNtt, n,
+                       {ctx.basis().prime(prod.towers() - 1)});
+    // Two launches, each staging n words in and draining n out.
+    const uint64_t contended =
+        2 * device->contentionModel().busyCycles(k.modelCycles, 2 * n, 2);
+    ASSERT_GT(contended, 2 * k.modelCycles);
+
+    for (int run = 0; run < 50; ++run) {
+        const DeviceStats before = device->stats();
+        (void)ctx.rescale(prod);
+        EXPECT_EQ(device->statsSince(before).busyCycleTotal(), contended)
+            << "run " << run;
+    }
+}
+
 TEST(CkksOnDevice, RescaleCommutesWithDomainTransitions)
 {
     // toCoeff(rescale(Eval ct)) must equal rescale(toCoeff(ct)) bit

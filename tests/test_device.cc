@@ -83,6 +83,45 @@ TEST(KernelCache, LaunchesShareKernelsAndModulusContexts)
     EXPECT_EQ(dev.modulusCache().size(), contexts_after_first);
 }
 
+/** Fused negacyclic product of @p a and @p b in one PolyMul launch. */
+std::vector<u128>
+polyMul(RpuDevice &dev, uint64_t n, u128 q, const std::vector<u128> &a,
+        const std::vector<u128> &b)
+{
+    return dev.launch(dev.kernel(KernelKind::PolyMul, n, {q}), {a, b})[0];
+}
+
+/** Every tower's fused product in one BatchedPolyMul launch (regions
+ *  t0.a, t0.b, t1.a, t1.b, ...). */
+std::vector<std::vector<u128>>
+batchedPolyMul(RpuDevice &dev, uint64_t n, const std::vector<u128> &primes,
+               const std::vector<std::vector<u128>> &a,
+               const std::vector<std::vector<u128>> &b)
+{
+    std::vector<std::vector<u128>> in;
+    for (size_t t = 0; t < primes.size(); ++t) {
+        in.push_back(a[t]);
+        in.push_back(b[t]);
+    }
+    return dev.launch(dev.kernel(KernelKind::BatchedPolyMul, n, primes),
+                      in);
+}
+
+/** One single-ring PolyMul request per tower, for launchAll. */
+std::vector<LaunchRequest>
+perTowerPolyMul(RpuDevice &dev, uint64_t n,
+                const std::vector<u128> &primes,
+                const std::vector<std::vector<u128>> &a,
+                const std::vector<std::vector<u128>> &b)
+{
+    std::vector<LaunchRequest> batch;
+    for (size_t t = 0; t < primes.size(); ++t) {
+        batch.push_back({&dev.kernel(KernelKind::PolyMul, n, {primes[t]}),
+                         {a[t], b[t]}});
+    }
+    return batch;
+}
+
 class BackendEquivalence : public testing::TestWithParam<uint64_t>
 {
 };
@@ -104,8 +143,7 @@ TEST_P(BackendEquivalence, FunctionalSimMatchesCpuReference)
     EXPECT_EQ(fwd_sim, ref.ntt(n, q, a));
     EXPECT_EQ(sim.ntt(n, q, fwd_sim, true),
               ref.ntt(n, q, fwd_sim, true));
-    EXPECT_EQ(sim.negacyclicMul(n, q, a, b),
-              ref.negacyclicMul(n, q, a, b));
+    EXPECT_EQ(polyMul(sim, n, q, a, b), polyMul(ref, n, q, a, b));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, BackendEquivalence,
@@ -126,7 +164,7 @@ TEST(BatchedPolyMul, MatchesPerTowerReference)
         b.push_back(randomPoly(mod, n, rng));
     }
 
-    const auto products = dev.mulTowers(n, primes, a, b);
+    const auto products = batchedPolyMul(dev, n, primes, a, b);
     ASSERT_EQ(products.size(), towers);
     EXPECT_EQ(dev.counters().launches, 1u);
     EXPECT_EQ(dev.counters().towerLaunches, towers);
@@ -154,8 +192,8 @@ TEST(BatchedPolyMul, EquivalentAcrossBackends)
         a.push_back(randomPoly(mod, n, rng));
         b.push_back(randomPoly(mod, n, rng));
     }
-    EXPECT_EQ(sim.mulTowers(n, primes, a, b),
-              ref.mulTowers(n, primes, a, b));
+    EXPECT_EQ(batchedPolyMul(sim, n, primes, a, b),
+              batchedPolyMul(ref, n, primes, a, b));
 }
 
 TEST(KernelCache, EveryScheduleFieldIsKeyed)
@@ -281,12 +319,15 @@ TEST(ParallelLaunch, MulTowersMatchesSerial)
     }
 
     RpuDevice serial_dev;
-    const auto serial = serial_dev.mulTowers(n, primes, a, b);
+    const auto serial = batchedPolyMul(serial_dev, n, primes, a, b);
 
     RpuDevice parallel_dev;
     parallel_dev.setParallelism(4);
-    const auto parallel = parallel_dev.mulTowers(n, primes, a, b);
-    EXPECT_EQ(parallel, serial);
+    const auto per_tower = parallel_dev.launchAll(
+        perTowerPolyMul(parallel_dev, n, primes, a, b));
+    ASSERT_EQ(per_tower.size(), primes.size());
+    for (size_t t = 0; t < primes.size(); ++t)
+        EXPECT_EQ(per_tower[t][0], serial[t]) << "tower " << t;
 
     // The parallel path fans one launch per tower.
     EXPECT_EQ(parallel_dev.counters().launches, primes.size());
@@ -346,7 +387,7 @@ TEST(ParallelLaunch, ConcurrentCallersStress)
             for (size_t r = 0; r < rounds; ++r) {
                 const auto a = randomPoly(mod, n, rng);
                 const auto b = randomPoly(mod, n, rng);
-                const auto got = dev.negacyclicMul(n, q, a, b);
+                const auto got = polyMul(dev, n, q, a, b);
                 if (got != negacyclicMulNtt(ntt, a, b))
                     ++failures[c];
             }
@@ -381,44 +422,6 @@ TEST(WhenAll, JoinsAsyncLaunchesInRequestOrder)
         futures.push_back(dev.launchAsync(k, {a, b}));
     }
     EXPECT_EQ(RpuDevice::whenAll(std::move(futures)), expected);
-}
-
-TEST(WhenAll, MulTowersBatchAsyncMatchesSyncBatch)
-{
-    // The async dispatch must resolve, pair by pair in any join
-    // order, to exactly what the synchronous batch returns — on both
-    // a serial device and a pooled one.
-    const uint64_t n = 1024;
-    const auto primes = nttPrimes(58, n, 3);
-
-    const auto make_pairs = [&](uint64_t seed) {
-        std::vector<std::vector<std::vector<u128>>> pairs(2);
-        Rng rng(seed);
-        for (auto &towers : pairs) {
-            for (u128 q : primes)
-                towers.push_back(randomPoly(Modulus(q), n, rng));
-        }
-        return pairs;
-    };
-    const auto as = make_pairs(67);
-    const auto bs = make_pairs(71);
-
-    RpuDevice sync_dev;
-    const auto sync = sync_dev.mulTowersBatch(n, primes, as, bs);
-
-    for (unsigned workers : {1u, 4u}) {
-        RpuDevice dev;
-        dev.setParallelism(workers);
-        auto pending = dev.mulTowersBatchAsync(n, primes, as, bs);
-        ASSERT_EQ(pending.size(), 2u);
-        // Join the later pair first: order must not matter.
-        const auto second =
-            RpuDevice::collectTowers(std::move(pending[1]));
-        const auto first =
-            RpuDevice::collectTowers(std::move(pending[0]));
-        EXPECT_EQ(first, sync[0]) << workers << " workers";
-        EXPECT_EQ(second, sync[1]) << workers << " workers";
-    }
 }
 
 TEST(KernelCache, SameKeyRaceGeneratesOnce)
@@ -682,11 +685,10 @@ TEST(PointwiseKernel, BatchedMatchesPerTowerAcrossBackends)
     }
 
     for (RpuDevice *dev : {&sim, &ref}) {
-        auto pending =
-            dev->pointwiseTowersBatchAsync(n, primes, a, b);
-        ASSERT_EQ(pending.size(), 1u);
-        const auto towers =
-            RpuDevice::collectTowers(std::move(pending[0]));
+        const auto items =
+            dev->runTowers(TowerOp::Pointwise, n, primes, a, b);
+        ASSERT_EQ(items.size(), 1u);
+        const auto &towers = items[0];
         ASSERT_EQ(towers.size(), primes.size());
         for (size_t t = 0; t < primes.size(); ++t) {
             EXPECT_EQ(towers[t],
@@ -712,17 +714,11 @@ TEST(TransformTowers, BatchedInverseUndoesBatchedForward)
         original.push_back(randomPoly(Modulus(q), n, rng));
 
     const auto round_trip = [&](RpuDevice &dev) {
-        std::vector<std::vector<std::vector<u128>>> xs(1);
-        xs[0] = original;
-        auto fwd = dev.transformTowersBatchAsync(n, primes,
-                                                 std::move(xs), false);
-        std::vector<std::vector<std::vector<u128>>> ys(1);
-        ys[0] = RpuDevice::collectTowers(std::move(fwd[0]));
+        auto ys = dev.runTowers(TowerOp::Forward, n, primes, {original});
         // The evaluation form is not the coefficient form.
         EXPECT_NE(ys[0], original) << dev.backend().name();
-        auto inv = dev.transformTowersBatchAsync(n, primes,
-                                                 std::move(ys), true);
-        return RpuDevice::collectTowers(std::move(inv[0]));
+        return dev.runTowers(TowerOp::Inverse, n, primes,
+                             std::move(ys))[0];
     };
 
     RpuDevice serial;
@@ -752,7 +748,7 @@ TEST(DeviceStats, AggregatesLaunchesTransformsAndWorkers)
 
     // Serial: one batched polymul launch (2 fwd + 1 inv + 1 pointwise
     // per tower) plus one explicitly elided conversion.
-    dev.mulTowers(n, primes, a, b);
+    batchedPolyMul(dev, n, primes, a, b);
     dev.noteElidedTransforms(primes.size());
     {
         const DeviceStats s = dev.stats();
@@ -780,7 +776,7 @@ TEST(DeviceStats, AggregatesLaunchesTransformsAndWorkers)
     // per-worker ledger must account for every launch exactly once.
     dev.resetCounters();
     dev.setParallelism(2);
-    dev.mulTowers(n, primes, a, b);
+    dev.launchAll(perTowerPolyMul(dev, n, primes, a, b));
     {
         const DeviceStats s = dev.stats();
         EXPECT_EQ(s.launches, primes.size());

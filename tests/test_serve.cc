@@ -3,7 +3,7 @@
  * The multi-tenant serving front-end: admission backpressure and
  * graceful-drain semantics of the bounded queue, the round-robin
  * fairness bound under a hog tenant, deterministic session seeding,
- * DeviceStats windowed deltas, the coalesced device hooks, and —
+ * DeviceStats windowed deltas, the coalesced (packed-tile) launches, and —
  * the load-bearing property — bit-identity of cross-tenant coalesced
  * execution against per-tenant serial execution, with the
  * ledger-verified launch-count reduction that motivates it.
@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "rpu/device.hh"
+#include "rpu/topology.hh"
 #include "serve/server.hh"
 
 namespace rpu {
@@ -188,12 +189,14 @@ TEST(DeviceStatsDelta, PerWorkerVectorsPadWhenPoolWidens)
 }
 
 // ----------------------------------------------------------------------
-// Coalesced device hooks
+// Coalesced (packed-tile) launches
 // ----------------------------------------------------------------------
 
 TEST(CoalescedLaunches, BitIdenticalToPerItemLaunchesInOneLaunch)
 {
-    RpuDevice dev;
+    const auto device = std::make_shared<RpuDevice>();
+    RpuDevice &dev = *device;
+    const auto topo = RpuTopology::adopt({device});
     const uint64_t n = 1024;
     // Ragged tower counts across items are the serving case: tenants
     // at different chain depths share one dispatch.
@@ -233,7 +236,8 @@ TEST(CoalescedLaunches, BitIdenticalToPerItemLaunchesInOneLaunch)
     }
 
     DeviceStats before = dev.stats();
-    const auto fwd = dev.transformCoalesced(n, moduli, xs, false);
+    const auto fwd =
+        topo->runTowers({0}, TowerOp::Forward, n, moduli, xs);
     DeviceStats delta = dev.statsSince(before);
     EXPECT_EQ(delta.launches, 1u);
     EXPECT_EQ(delta.forwardTransforms, 6u); // 2 + 3 + 1 towers
@@ -241,14 +245,16 @@ TEST(CoalescedLaunches, BitIdenticalToPerItemLaunchesInOneLaunch)
 
     // Round-trip through the coalesced inverse as well.
     before = dev.stats();
-    const auto back = dev.transformCoalesced(n, moduli, fwd, true);
+    const auto back =
+        topo->runTowers({0}, TowerOp::Inverse, n, moduli, fwd);
     delta = dev.statsSince(before);
     EXPECT_EQ(delta.launches, 1u);
     EXPECT_EQ(delta.inverseTransforms, 6u);
     EXPECT_EQ(back, xs);
 
     before = dev.stats();
-    const auto pw = dev.pointwiseCoalesced(n, moduli, a, b);
+    const auto pw =
+        topo->runTowers({0}, TowerOp::Pointwise, n, moduli, a, b);
     delta = dev.statsSince(before);
     EXPECT_EQ(delta.launches, 1u);
     EXPECT_EQ(delta.pointwiseMuls, 6u);

@@ -4,8 +4,9 @@
  * across devices ("generate once, launch anywhere"), the
  * HBM-contention refinement of the per-worker cycle ledger, the
  * topology stats roll-up (padding-correct summing, makespan as a max
- * over devices), bit-identity of the sharded coalesced hooks against
- * the single-device path, the makespan scheduler's placement rules
+ * over devices), the tile executor's per-item and packed shapes
+ * against per-tower single-ring launches and under an injected launch
+ * failure, the makespan scheduler's placement rules
  * (paused devices never selected, load-correcting bookings), and the
  * load-bearing degeneracy: a 1-device-topology server is
  * bit-identical — outputs and launch ledger — to the single-device
@@ -14,12 +15,17 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <complex>
 #include <future>
 #include <memory>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "model/contention.hh"
+#include "modmath/primegen.hh"
 #include "rlwe/ckks.hh"
 #include "rpu/device.hh"
 #include "rpu/topology.hh"
@@ -174,12 +180,10 @@ TEST(RpuTopology, WindowedStatsSumAndMakespanIsTheDeviceMax)
     const uint64_t n = 1024;
 
     const RpuTopology::Snapshot before = topo.snapshot();
-    auto xs = coalescedInputs(2, primes, n, 17);
-    (void)topo.device(0)->transformCoalesced(
-        n, {primes, primes}, std::move(xs), false);
-    auto ys = coalescedInputs(1, primes, n, 18);
-    (void)topo.device(1)->transformCoalesced(n, {primes},
-                                             std::move(ys), false);
+    (void)topo.runTowers({0}, TowerOp::Forward, n, {primes, primes},
+                         coalescedInputs(2, primes, n, 17));
+    (void)topo.runTowers({1}, TowerOp::Forward, n, {primes},
+                         coalescedInputs(1, primes, n, 18));
 
     const RpuTopology::Snapshot window = topo.since(before);
     ASSERT_EQ(window.size(), 2u);
@@ -215,10 +219,8 @@ TEST(RpuTopology, ContentionLedgerIsStrictExactlyWhenLanesOverlap)
         auto device = std::make_shared<RpuDevice>();
         if (workers > 1)
             device->setParallelism(workers);
-        auto pending = device->transformTowersBatchAsync(
-            n, primes, coalescedInputs(6, primes, n, 23), false);
-        for (auto &p : pending)
-            (void)RpuDevice::collectTowers(std::move(p));
+        (void)device->runTowers(TowerOp::Forward, n, primes,
+                                coalescedInputs(6, primes, n, 23));
         return device->stats();
     };
 
@@ -234,54 +236,227 @@ TEST(RpuTopology, ContentionLedgerIsStrictExactlyWhenLanesOverlap)
 }
 
 // ----------------------------------------------------------------------
-// Sharded coalesced hooks
+// Tile executor: both entry points against per-tower launches
 // ----------------------------------------------------------------------
 
-TEST(RpuTopology, TransformShardedMatchesSingleDeviceCoalesced)
+/** Items over the leading @p counts[i] primes of @p primes, with one
+ *  region of ring randomness per tower, plus their moduli. */
+struct TowerItems
 {
-    const CkksContext ctx(topoParams(), 5);
-    const std::vector<u128> primes = ctx.basis().primes();
-    const uint64_t n = 1024;
-    // 8 items x 3 towers = 24 towers -> 2 tile groups: a real split.
-    const size_t items = 8;
-    const std::vector<std::vector<u128>> moduli(items, primes);
-    ASSERT_EQ(RpuTopology::tileGroups(items * primes.size()), 2u);
+    std::vector<std::vector<u128>> moduli;
+    std::vector<TowerSet> xs;
+};
 
-    RpuTopology single(1);
-    const auto want = single.device(0)->transformCoalesced(
-        n, moduli, coalescedInputs(items, primes, n, 31), false);
-
-    RpuTopology topo(2);
-    const RpuTopology::Snapshot before = topo.snapshot();
-    const auto got = topo.transformSharded(
-        {0, 1}, n, moduli, coalescedInputs(items, primes, n, 31),
-        false);
-    EXPECT_EQ(got, want);
-
-    // Each device really executed its group.
-    const RpuTopology::Snapshot window = topo.since(before);
-    EXPECT_GT(window[0].launches, 0u);
-    EXPECT_GT(window[1].launches, 0u);
+TowerItems
+towerItems(const std::vector<size_t> &counts,
+           const std::vector<u128> &primes, uint64_t n, uint64_t seed)
+{
+    TowerItems items;
+    for (size_t i = 0; i < counts.size(); ++i) {
+        const std::vector<u128> chain(primes.begin(),
+                                      primes.begin() + counts[i]);
+        items.moduli.push_back(chain);
+        items.xs.push_back(
+            coalescedInputs(1, chain, n, seed + 100 * i).front());
+    }
+    return items;
 }
 
-TEST(RpuTopology, PointwiseShardedMatchesSingleDeviceCoalesced)
+/** The independent reference: one single-ring launch per (item,
+ *  tower) through dev.ntt / dev.pointwiseMul on a fresh device. */
+std::vector<TowerSet>
+perTowerReference(TowerOp op, uint64_t n,
+                  const std::vector<std::vector<u128>> &moduli,
+                  const std::vector<TowerSet> &a,
+                  const std::vector<TowerSet> &b)
 {
-    const CkksContext ctx(topoParams(), 5);
-    const std::vector<u128> primes = ctx.basis().primes();
+    RpuDevice ref;
+    std::vector<TowerSet> out = a;
+    for (size_t i = 0; i < moduli.size(); ++i) {
+        for (size_t t = 0; t < moduli[i].size(); ++t) {
+            const u128 q = moduli[i][t];
+            out[i][t] = op == TowerOp::Pointwise
+                            ? ref.pointwiseMul(n, q, a[i][t], b[i][t])
+                            : ref.ntt(n, q, a[i][t],
+                                      op == TowerOp::Inverse);
+        }
+    }
+    return out;
+}
+
+constexpr TowerOp kTowerOps[] = {TowerOp::Forward, TowerOp::Inverse,
+                                 TowerOp::Pointwise};
+
+TEST(TileExecutor, PerItemShapeMatchesPerTowerLaunches)
+{
     const uint64_t n = 1024;
-    const size_t items = 8;
-    const std::vector<std::vector<u128>> moduli(items, primes);
+    const auto primes = nttPrimes(58, n, 3);
+    const TowerItems a = towerItems({3, 3, 3, 3, 3, 3}, primes, n, 61);
+    const TowerItems b = towerItems({3, 3, 3, 3, 3, 3}, primes, n, 67);
 
-    RpuTopology single(1);
-    const auto want = single.device(0)->pointwiseCoalesced(
-        n, moduli, coalescedInputs(items, primes, n, 41),
-        coalescedInputs(items, primes, n, 42));
+    for (unsigned workers : {1u, 2u}) {
+        for (TowerOp op : kTowerOps) {
+            const bool pw = op == TowerOp::Pointwise;
+            const auto want = perTowerReference(op, n, a.moduli, a.xs,
+                                                pw ? b.xs : a.xs);
+            RpuDevice dev;
+            dev.setParallelism(workers);
+            const auto got = dev.runTowers(
+                op, n, primes, a.xs, pw ? b.xs : std::vector<TowerSet>{});
+            EXPECT_EQ(got, want)
+                << workers << " workers, op " << int(op);
+            // Serial: one batched launch per item; pooled: one
+            // single-ring launch per (item, tower).
+            EXPECT_EQ(dev.stats().launches, workers == 1 ? 6u : 18u);
+        }
+    }
+}
 
-    RpuTopology topo(2);
-    const auto got = topo.pointwiseSharded(
-        {1, 0}, n, moduli, coalescedInputs(items, primes, n, 41),
-        coalescedInputs(items, primes, n, 42));
-    EXPECT_EQ(got, want);
+TEST(TileExecutor, PackedShapeMatchesPerTowerLaunches)
+{
+    const uint64_t n = 1024;
+    const auto primes = nttPrimes(58, n, 3);
+    // 6 x 3 towers: item 5 spans towers 15-17, straddling the first
+    // tile boundary. The ragged case (20 towers) straddles it with
+    // item 6 (towers 14-16).
+    const std::vector<std::vector<size_t>> shapes = {
+        {3, 3, 3, 3, 3, 3}, {3, 1, 2, 3, 3, 2, 3, 3}};
+
+    for (const auto &counts : shapes) {
+        const TowerItems a = towerItems(counts, primes, n, 71);
+        const TowerItems b = towerItems(counts, primes, n, 73);
+        size_t towers = 0;
+        for (size_t c : counts)
+            towers += c;
+        ASSERT_EQ(RpuTopology::tileGroups(towers), 2u);
+
+        for (unsigned workers : {1u, 2u}) {
+            for (size_t devices : {size_t(1), size_t(2)}) {
+                const std::vector<size_t> plan = {0, devices - 1};
+                for (TowerOp op : kTowerOps) {
+                    const bool pw = op == TowerOp::Pointwise;
+                    const auto want = perTowerReference(
+                        op, n, a.moduli, a.xs, pw ? b.xs : a.xs);
+                    RpuTopology topo(devices, workers);
+                    const auto got = topo.runTowers(
+                        plan, op, n, a.moduli, a.xs,
+                        pw ? b.xs : std::vector<TowerSet>{});
+                    EXPECT_EQ(got, want)
+                        << towers << " towers, " << workers
+                        << " workers, " << devices << " devices, op "
+                        << int(op);
+                    // One launch per tile, on its planned device.
+                    const RpuTopology::Snapshot snap = topo.snapshot();
+                    EXPECT_EQ(RpuTopology::aggregate(snap).launches, 2u);
+                    EXPECT_EQ(snap.back().launches,
+                              devices == 1 ? 2u : 1u);
+                }
+            }
+        }
+    }
+}
+
+/**
+ * Functional simulation that throws on the failAt-th launch counted
+ * across every device sharing the probe, and tracks how many launches
+ * are still executing. Launches that don't fail dawdle briefly, so a
+ * failure fires while sibling tiles are still in flight.
+ */
+struct LaunchProbe
+{
+    std::atomic<int> launches{0};
+    std::atomic<int> running{0};
+    int failAt = 0;
+};
+
+class FailingBackend : public ExecutionBackend
+{
+  public:
+    explicit FailingBackend(std::shared_ptr<LaunchProbe> probe)
+        : probe_(std::move(probe))
+    {
+    }
+
+    const char *name() const override { return "failing-sim"; }
+
+    std::vector<std::vector<u128>>
+    execute(RpuDevice &dev, const KernelImage &image,
+            const std::vector<std::vector<u128>> &inputs) override
+    {
+        ++probe_->running;
+        struct Done
+        {
+            std::atomic<int> &running;
+            ~Done() { --running; }
+        } done{probe_->running};
+        if (++probe_->launches == probe_->failAt)
+            throw std::runtime_error("injected launch failure");
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        return sim_.execute(dev, image, inputs);
+    }
+
+  private:
+    std::shared_ptr<LaunchProbe> probe_;
+    FunctionalSimBackend sim_;
+};
+
+TEST(TileExecutor, FailedLaunchJoinsEveryTileAndLeavesDeviceUsable)
+{
+    const uint64_t n = 1024;
+    const auto primes = nttPrimes(58, n, 3);
+    const TowerItems items =
+        towerItems({3, 3, 3, 3, 3, 3}, primes, n, 79);
+
+    // The three executor shapes: serial per-item, pooled per-tower,
+    // and a 2-device packed plan.
+    struct Shape
+    {
+        unsigned workers;
+        size_t devices; // 0 = the per-item entry on one device
+    };
+    for (const Shape shape : {Shape{1, 0}, Shape{2, 0}, Shape{1, 2}}) {
+        const auto probe = std::make_shared<LaunchProbe>();
+        probe->failAt = 2;
+        const auto caches = std::make_shared<DeviceCaches>();
+        std::vector<std::shared_ptr<RpuDevice>> devs;
+        std::vector<std::shared_ptr<RpuDevice>> fresh;
+        for (size_t d = 0; d < std::max<size_t>(shape.devices, 1); ++d) {
+            devs.push_back(std::make_shared<RpuDevice>(
+                std::make_unique<FailingBackend>(probe), caches));
+            devs.back()->setParallelism(shape.workers);
+            fresh.push_back(std::make_shared<RpuDevice>());
+            fresh.back()->setParallelism(shape.workers);
+        }
+        const auto topo = RpuTopology::adopt(devs);
+        const auto fresh_topo = RpuTopology::adopt(fresh);
+        const auto run = [&](RpuTopology &t) {
+            if (shape.devices == 0) {
+                return t.device(0)->runTowers(TowerOp::Forward, n, primes,
+                                              items.xs);
+            }
+            return t.runTowers({0, 1}, TowerOp::Forward, n, items.moduli,
+                               items.xs);
+        };
+
+        EXPECT_THROW(run(*topo), std::runtime_error)
+            << shape.workers << " workers, " << shape.devices
+            << " devices";
+        // Rethrown only once no tile is still executing.
+        EXPECT_EQ(probe->running.load(), 0);
+
+        // Still usable, and the retry matches a fresh device set in
+        // results and in the launch/busy/staging ledger.
+        const RpuTopology::Snapshot before = topo->snapshot();
+        const auto got = run(*topo);
+        const DeviceStats delta = RpuTopology::aggregate(topo->since(before));
+        const auto want = run(*fresh_topo);
+        const DeviceStats ref = fresh_topo->stats();
+        EXPECT_EQ(got, want);
+        EXPECT_EQ(delta.launches, ref.launches);
+        EXPECT_EQ(delta.busyCycleTotal(), ref.busyCycleTotal());
+        EXPECT_EQ(delta.stagingCycleTotal(), ref.stagingCycleTotal());
+        EXPECT_EQ(delta.contendedLaunches, ref.contendedLaunches);
+    }
 }
 
 TEST(RpuTopology, UniformPlanIsTheDeviceOwnCoalescedPath)
@@ -293,9 +468,8 @@ TEST(RpuTopology, UniformPlanIsTheDeviceOwnCoalescedPath)
 
     RpuTopology topo(2);
     const RpuTopology::Snapshot before = topo.snapshot();
-    (void)topo.transformSharded({0}, n, moduli,
-                                coalescedInputs(2, primes, n, 51),
-                                false);
+    (void)topo.runTowers({0}, TowerOp::Forward, n, moduli,
+                         coalescedInputs(2, primes, n, 51));
     const RpuTopology::Snapshot window = topo.since(before);
     EXPECT_GT(window[0].launches, 0u);
     EXPECT_EQ(window[1].launches, 0u);
