@@ -1,7 +1,6 @@
 /**
  * @file
- * Multi-RPU sharding: capacity-planning sweep over device count and
- * scheduler policy.
+ * Multi-RPU sharding: capacity-planning sweep over device count.
  *
  * The serving question behind an RpuTopology is "how many RPUs does
  * this traffic need?" — this harness answers it on the cycle model,
@@ -23,21 +22,18 @@
  *     a pooled device running concurrent lanes it strictly exceeds it
  *     (each extra occupant re-exposes staging traffic).
  *
- *  3. Policy-ablation capacity replay. The same fixed mulPlain
- *     request set replays against 1/2/4/8-device topologies through a
- *     paused server (deterministic chunk composition, serial devices,
- *     one dispatcher), once per scheduler policy tier — greedy,
- *     +lookahead, +split, +steal (cumulative; see SchedulerPolicy) —
- *     and the topology-wide makespan window prices each
+ *  3. Capacity replay. The same fixed mulPlain request set replays
+ *     against 1/2/4/8-device topologies through a paused server
+ *     (deterministic chunk composition, serial devices, one
+ *     dispatcher), and the topology-wide makespan window prices each
  *     configuration: modelled sustained throughput = requests /
  *     makespan seconds at the 64-bank design clock. Gates: results
  *     bit-identical to runSerial in every cell, the summed busy total
- *     conserved across every device count *and* policy (placement
- *     only moves launches, never changes them), 1→2-device scaling
- *     >= 1.6x per tier, and — on the full request budget — the
- *     all-policies tier reaching >= 7.0x at 8 devices (the greedy
- *     baseline's chunk granularity caps it at 6.00x; chunk splitting
- *     is what lifts the ceiling).
+ *     conserved across every device count (placement only moves
+ *     launches, never changes them), 1→2-device scaling >= 1.6x, and
+ *     — on the full request budget — >= 7.0x at 8 devices (chunk
+ *     splitting is what lifts the ceiling past the ~6.8x that
+ *     whole-chunk placement reaches).
  *
  *  4. Open-loop sweep vs device count. The Poisson open-loop
  *     generator (shared with serve_throughput via bench_util.hh)
@@ -50,11 +46,8 @@
  *
  * RPU_SHARD_REQUESTS scales the replay/open-loop request counts down
  * for sanitizer jobs (the 8-device >= 7.0x gate needs the full
- * 96-request budget and is skipped below it). RPU_SHARD_POLICY
- * restricts the run to one tier (greedy|lookahead|split|steal) — CI
- * uses this to keep the greedy baseline as a regression anchor while
- * exercising every policy end to end. The binary exits 1 on any
- * divergence; CI treats that as a job failure.
+ * 96-request budget and is skipped below it). The binary exits 1 on
+ * any divergence; CI treats that as a job failure.
  */
 
 #include <algorithm>
@@ -63,7 +56,6 @@
 #include <complex>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <future>
 #include <memory>
 #include <random>
@@ -85,7 +77,6 @@ using bench::slotValues;
 
 using serve::HeServer;
 using serve::RequestOp;
-using serve::SchedulerPolicy;
 using serve::ServeConfig;
 using serve::ServeResponse;
 using serve::Session;
@@ -98,44 +89,8 @@ using Pending = bench::PendingServe;
 constexpr size_t kTenants = 4;
 const std::vector<size_t> kDeviceCounts = {1, 2, 4, 8};
 
-/** The cumulative ablation tiers phase 3 sweeps. */
-struct PolicyTier
-{
-    const char *name;
-    SchedulerPolicy policy;
-};
-
-const std::vector<PolicyTier> &
-policyTiers()
-{
-    static const std::vector<PolicyTier> tiers = {
-        {"greedy", SchedulerPolicy::greedy()},
-        {"+lookahead", {true, false, false}},
-        {"+split", {true, true, false}},
-        {"+steal", SchedulerPolicy::all()},
-    };
-    return tiers;
-}
-
-/** RPU_SHARD_POLICY selects one tier; unset/"all" runs all four. */
-std::vector<PolicyTier>
-selectedTiers()
-{
-    const char *env = std::getenv("RPU_SHARD_POLICY");
-    if (!env || std::strcmp(env, "all") == 0)
-        return policyTiers();
-    for (const PolicyTier &t : policyTiers()) {
-        // Match with or without the '+' prefix.
-        if (std::strcmp(env, t.name) == 0 ||
-            (t.name[0] == '+' && std::strcmp(env, t.name + 1) == 0))
-            return {t};
-    }
-    fail("RPU_SHARD_POLICY must be greedy|lookahead|split|steal|all");
-}
-
 std::unique_ptr<HeServer>
-makeServer(const std::shared_ptr<RpuTopology> &topology,
-           const SchedulerPolicy &policy, bool paused,
+makeServer(const std::shared_ptr<RpuTopology> &topology, bool paused,
            size_t queueCapacity)
 {
     ServeConfig cfg;
@@ -144,7 +99,6 @@ makeServer(const std::shared_ptr<RpuTopology> &topology,
     cfg.maxPerTenant = 4;
     cfg.maxCoalesce = 8;
     cfg.coalesce = true;
-    cfg.policy = policy;
     cfg.startPaused = paused;
     auto server = std::make_unique<HeServer>(cfg, topology);
     for (uint64_t id = 1; id <= kTenants; ++id)
@@ -176,15 +130,15 @@ modelledOpsPerSec(size_t requests, uint64_t makespan)
 // ----------------------------------------------------------------------
 
 void
-phaseBitIdentity(const SchedulerPolicy &policy)
+phaseBitIdentity()
 {
     // Two passes of the same mixed set shapes (fresh seqs): pass 1
     // may still generate kernels prewarm doesn't predict (the mulCt
     // relinearisation shapes), on whichever device a chunk landed.
     // Pass 2 must then run entirely out of the shared cache on every
     // device — a hit even when the generating device differs, which
-    // is exactly "generate once, launch anywhere". Holding under the
-    // split policy too matters: split plans route single stage groups
+    // is exactly "generate once, launch anywhere". It matters that
+    // this holds under split plans, which route single stage groups
     // to devices that never saw the whole chunk.
     bench::header("phase 1: device-set serving vs serial reference");
     auto topology = std::make_shared<RpuTopology>(2);
@@ -218,7 +172,7 @@ phaseBitIdentity(const SchedulerPolicy &policy)
         return pending.size();
     };
 
-    auto server = makeServer(topology, policy, true, 64);
+    auto server = makeServer(topology, true, 64);
     server->prewarm();
     const size_t served = runPass(*server, 0);
 
@@ -313,7 +267,7 @@ phaseContention()
 }
 
 // ----------------------------------------------------------------------
-// Phase 3: policy-ablation modelled capacity replay vs device count
+// Phase 3: modelled capacity replay vs device count
 // ----------------------------------------------------------------------
 
 struct ReplayRow
@@ -323,15 +277,13 @@ struct ReplayRow
     uint64_t busyTotal = 0; ///< summed busy cycles (work conserved)
     double modelled = 0;    ///< modelled sustained ops/s
     uint64_t split = 0;     ///< chunks whose stages spread devices
-    uint64_t stolen = 0;    ///< chunks re-claimed by idle dispatchers
 };
 
 ReplayRow
-runReplay(const SchedulerPolicy &policy, size_t deviceCount,
-          size_t requests)
+runReplay(size_t deviceCount, size_t requests)
 {
     auto topology = std::make_shared<RpuTopology>(deviceCount);
-    auto server = makeServer(topology, policy, true, requests);
+    auto server = makeServer(topology, true, requests);
     server->prewarm();
 
     std::vector<Pending> pending;
@@ -369,69 +321,55 @@ runReplay(const SchedulerPolicy &policy, size_t deviceCount,
     row.busyTotal = RpuTopology::aggregate(window).busyCycleTotal();
     row.modelled = modelledOpsPerSec(requests, row.makespan);
     row.split = server->stats().splitChunks;
-    row.stolen = server->stats().stolenChunks;
     return row;
 }
 
 void
-phaseModelledCapacity(const std::vector<PolicyTier> &tiers,
-                      size_t requests)
+phaseModelledCapacity(size_t requests)
 {
-    bench::header(
-        "phase 3: policy-ablation capacity replay (cycle model)");
+    bench::header("phase 3: capacity replay (cycle model)");
     std::printf("  %zu mulPlain requests, %zu tenants, serial devices, "
                 "one dispatcher\n\n",
                 requests, kTenants);
-    std::printf("  %-11s %8s %14s %14s %14s %7s\n", "policy", "devices",
-                "makespan cyc", "busy total", "modelled op/s", "scale");
-    bench::rule('-', 76);
+    std::printf("  %8s %14s %14s %14s %7s %6s\n", "devices",
+                "makespan cyc", "busy total", "modelled op/s", "scale",
+                "split");
+    bench::rule('-', 68);
 
-    // Busy-total conservation is the correctness anchor: every policy
+    // Busy-total conservation is the correctness anchor: placement
     // may only move launches between devices, never change what is
     // launched, so the summed busy cycles must match the 1-device
-    // greedy figure in every cell.
-    uint64_t busy_anchor = 0;
-    for (const PolicyTier &tier : tiers) {
-        std::vector<ReplayRow> rows;
-        for (size_t d : kDeviceCounts) {
-            rows.push_back(runReplay(tier.policy, d, requests));
-            const ReplayRow &r = rows.back();
-            std::printf("  %-11s %8zu %14llu %14llu %14.1f %6.2fx\n",
-                        tier.name, r.devices,
-                        (unsigned long long)r.makespan,
-                        (unsigned long long)r.busyTotal, r.modelled,
-                        r.modelled / rows.front().modelled);
-            if (busy_anchor == 0)
-                busy_anchor = r.busyTotal;
-            if (r.busyTotal != busy_anchor)
-                fail("busy total not conserved across the ablation "
-                     "(a policy changed the work, not just its place)");
-        }
-
-        const double scale12 = rows[1].modelled / rows[0].modelled;
-        if (!(scale12 >= 1.6))
-            fail("modelled throughput scales < 1.6x from 1 to 2 "
-                 "devices");
-        const ReplayRow &r8 = rows.back();
-        const double scale8 = r8.modelled / rows.front().modelled;
-        std::printf("  %-11s 1->2: %.2fx (gate >= 1.60x); 8-dev: "
-                    "%.2fx; split %llu, stolen %llu chunks\n",
-                    tier.name, scale12, scale8,
-                    (unsigned long long)r8.split,
-                    (unsigned long long)r8.stolen);
-        // The headline gate: with every policy on, chunk splitting
-        // must lift 8-device scaling past the 6.00x chunk-granularity
-        // ceiling. Only meaningful on the full request budget — the
-        // reduced sanitizer run has too few chunks per device for the
-        // balance to converge.
-        if (tier.policy.split && tier.policy.steal) {
-            if (requests >= 96 && !(scale8 >= 7.0))
-                fail("all-policy 8-device modelled scaling < 7.0x");
-            if (requests < 96)
-                std::printf("  (8-device >= 7.0x gate skipped below "
-                            "the 96-request budget)\n");
-        }
+    // figure in every cell.
+    std::vector<ReplayRow> rows;
+    for (size_t d : kDeviceCounts) {
+        rows.push_back(runReplay(d, requests));
+        const ReplayRow &r = rows.back();
+        std::printf("  %8zu %14llu %14llu %14.1f %6.2fx %6llu\n",
+                    r.devices, (unsigned long long)r.makespan,
+                    (unsigned long long)r.busyTotal, r.modelled,
+                    r.modelled / rows.front().modelled,
+                    (unsigned long long)r.split);
+        if (r.busyTotal != rows.front().busyTotal)
+            fail("busy total not conserved across device counts "
+                 "(placement changed the work, not just its place)");
     }
+
+    const double scale12 = rows[1].modelled / rows[0].modelled;
+    const double scale8 = rows.back().modelled / rows.front().modelled;
+    std::printf("  1->2: %.2fx (gate >= 1.60x); 8-dev: %.2fx (gate >= "
+                "7.00x)\n",
+                scale12, scale8);
+    if (!(scale12 >= 1.6))
+        fail("modelled throughput scales < 1.6x from 1 to 2 devices");
+    // Chunk splitting must lift 8-device scaling past the ceiling of
+    // whole-chunk placement. Only meaningful on the full request
+    // budget — the reduced sanitizer run has too few chunks per
+    // device for the balance to converge.
+    if (requests >= 96 && !(scale8 >= 7.0))
+        fail("8-device modelled scaling < 7.0x");
+    if (requests < 96)
+        std::printf("  (8-device >= 7.0x gate skipped below the "
+                    "96-request budget)\n");
 }
 
 // ----------------------------------------------------------------------
@@ -439,7 +377,7 @@ phaseModelledCapacity(const std::vector<PolicyTier> &tiers,
 // ----------------------------------------------------------------------
 
 void
-phaseOpenLoop(const SchedulerPolicy &policy, size_t requests)
+phaseOpenLoop(size_t requests)
 {
     bench::header("phase 4: open-loop Poisson sweep vs device count");
     const double capacity =
@@ -455,7 +393,7 @@ phaseOpenLoop(const SchedulerPolicy &policy, size_t requests)
     bench::rule('-', 84);
     for (size_t d : kDeviceCounts) {
         auto topology = std::make_shared<RpuTopology>(d);
-        auto server = makeServer(topology, policy, false, 64);
+        auto server = makeServer(topology, false, 64);
         server->prewarm();
         bench::OpenLoopRow r =
             bench::runServeOpenLoop(*server, rate, requests, kTenants);
@@ -483,27 +421,14 @@ main()
                 rpu::kTenants);
 
     const size_t requests = rpu::requestBudget(96);
-    const std::vector<rpu::PolicyTier> tiers = rpu::selectedTiers();
-    // Phases 1 and 4 exercise one policy end to end: the selected
-    // tier's when RPU_SHARD_POLICY narrows the run, the full stack
-    // otherwise.
-    const rpu::SchedulerPolicy primary =
-        tiers.size() == 1 ? tiers.front().policy
-                          : rpu::SchedulerPolicy::all();
-    std::printf("scheduler policy tiers: ");
-    for (const rpu::PolicyTier &t : tiers)
-        std::printf("%s ", t.name);
-    std::printf("\n");
-
-    rpu::phaseBitIdentity(primary);
+    rpu::phaseBitIdentity();
     rpu::phaseContention();
-    rpu::phaseModelledCapacity(tiers, requests);
-    rpu::phaseOpenLoop(primary, requests);
+    rpu::phaseModelledCapacity(requests);
+    rpu::phaseOpenLoop(requests);
 
     std::printf("\nPASS: device-set serving bit-identical to per-tenant "
-                "serial execution under every\nscheduler policy, busy "
-                "total conserved across the ablation, modelled "
-                "throughput\nscales >= 1.6x from 1 to 2 devices, shared "
-                "kernel cache hit across devices\n");
+                "serial execution, busy\ntotal conserved across device "
+                "counts, modelled throughput scales >= 1.6x from\n1 to "
+                "2 devices, shared kernel cache hit across devices\n");
     return 0;
 }

@@ -625,7 +625,7 @@ class RpuDevice
     /**
      * Tile geometry and kernel choice of every multi-tower dispatch —
      * the one function the executor, the topology's planners
-     * (RpuTopology::tileGroups) and the server's prewarm derive from.
+     * (RpuTopology::groupWeights) and the server's prewarm derive from.
      * The chain is the concatenation of @p segments: tower runs that
      * never share a tile (one per item, or the whole packed chain as
      * one segment). @p perTower cuts one single-ring tile per tower

@@ -109,19 +109,11 @@ class RpuTopology
 
     // -- Packed multi-tower dispatch -------------------------------------
 
-    /** Tile count of a @p towers-long packed chain: the number of
-     *  launches runTowers splits it into, and the length of its
-     *  placement plan. */
-    static size_t tileGroups(size_t towers)
-    {
-        return RpuDevice::cutTiles(TowerOp::Forward, {towers}, false)
-            .size();
-    }
-
     /** Tower count of each tile of a @p towers-long packed chain,
      *  scaled by a per-tower cost weight: the stage-weight vector
      *  MakespanScheduler::splitPlans consumes, so a planner weighs
-     *  exactly the launches runTowers will make. */
+     *  exactly the launches runTowers will make (one entry per tile,
+     *  so its size is the length of the chain's placement plan). */
     static std::vector<double> groupWeights(size_t towers,
                                             double perTower)
     {
@@ -139,14 +131,14 @@ class RpuTopology
      * <= kMaxBatchedTowers batched tiles — ceil(towers / budget)
      * launches however many items were merged, the serving layer's
      * cross-tenant coalescing. Tile g runs on device plan[g];
-     * plan.size() must equal tileGroups(total towers). The caller's
-     * thread runs the first occupied device and every other occupied
-     * device overlaps on its own thread; a device runs its tiles in
-     * tile order with inline launches. An all-zero plan on a 1-device
-     * topology is the single-device coalesced path. Results are
-     * bit-identical whatever the plan — only the ledger (which device
-     * paid which launches) moves. Every device joins before the first
-     * failure (if any) is rethrown.
+     * plan.size() must equal groupWeights(total towers, w).size().
+     * The caller's thread runs the first occupied device and every
+     * other occupied device overlaps on its own thread; a device runs
+     * its tiles in tile order with inline launches. An all-zero plan
+     * on a 1-device topology is the single-device coalesced path.
+     * Results are bit-identical whatever the plan — only the ledger
+     * (which device paid which launches) moves. Every device joins
+     * before the first failure (if any) is rethrown.
      */
     std::vector<TowerSet> runTowers(const std::vector<size_t> &plan,
                                     TowerOp op, uint64_t n,

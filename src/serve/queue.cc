@@ -15,6 +15,8 @@ submitStatusName(SubmitStatus s)
         return "rejected-full";
       case SubmitStatus::RejectedShutdown:
         return "rejected-shutdown";
+      case SubmitStatus::RejectedInvalid:
+        return "rejected-invalid";
     }
     return "?";
 }
@@ -60,28 +62,7 @@ BoundedRequestQueue::popBatch(size_t maxBatch, size_t maxPerTenant)
     ready_.wait(lock, [&] { return size_ > 0 || closed_; });
     if (size_ == 0)
         return {}; // closed and drained: the consumer exit signal
-    return sweepLocked(maxBatch, maxPerTenant);
-}
 
-std::vector<ServeRequest>
-BoundedRequestQueue::popBatchFor(
-    size_t maxBatch, size_t maxPerTenant,
-    std::chrono::steady_clock::duration timeout, bool &closedOut)
-{
-    rpu_assert(maxBatch >= 1 && maxPerTenant >= 1,
-               "batch bounds must be positive");
-    std::unique_lock<std::mutex> lock(mutex_);
-    ready_.wait_for(lock, timeout,
-                    [&] { return size_ > 0 || closed_; });
-    closedOut = closed_ && size_ == 0;
-    if (size_ == 0)
-        return {};
-    return sweepLocked(maxBatch, maxPerTenant);
-}
-
-std::vector<ServeRequest>
-BoundedRequestQueue::sweepLocked(size_t maxBatch, size_t maxPerTenant)
-{
     // One round-robin sweep from the rotating cursor: every lane
     // with pending work is visited exactly once and contributes at
     // most maxPerTenant requests, so no tenant waits more than one

@@ -49,6 +49,7 @@ enum class SubmitStatus
     Accepted,         ///< queued; the submission's future will resolve
     RejectedFull,     ///< backpressure: queue at capacity, try later
     RejectedShutdown, ///< the server is draining; no new work
+    RejectedInvalid,  ///< unknown tenant, or operands overflow its slots
 };
 
 const char *submitStatusName(SubmitStatus s);
@@ -119,19 +120,6 @@ class BoundedRequestQueue
     std::vector<ServeRequest> popBatch(size_t maxBatch,
                                        size_t maxPerTenant);
 
-    /**
-     * popBatch with a bounded wait: returns an empty batch after
-     * @p timeout even while the queue is open, so a consumer with a
-     * second work source (the work-stealing dispatcher) can poll both
-     * instead of parking here forever. @p closedOut reports whether
-     * the queue is closed *and* drained — the only empty return that
-     * means "no work will ever come".
-     */
-    std::vector<ServeRequest>
-    popBatchFor(size_t maxBatch, size_t maxPerTenant,
-                std::chrono::steady_clock::duration timeout,
-                bool &closedOut);
-
     /** Reject new submissions; wake consumers to drain what's left. */
     void close();
 
@@ -140,10 +128,6 @@ class BoundedRequestQueue
     bool closed() const;
 
   private:
-    /** The rotating round-robin sweep both pops share; under mutex_. */
-    std::vector<ServeRequest> sweepLocked(size_t maxBatch,
-                                          size_t maxPerTenant);
-
     struct Lane
     {
         uint64_t tenant = 0;

@@ -19,8 +19,8 @@ constexpr double kEwma = 0.25;
 } // namespace
 
 MakespanScheduler::MakespanScheduler(
-    std::shared_ptr<RpuTopology> topology, SchedulerPolicy policy)
-    : topology_(std::move(topology)), policy_(policy)
+    std::shared_ptr<RpuTopology> topology)
+    : topology_(std::move(topology))
 {
     rpu_assert(topology_ != nullptr, "scheduler needs a topology");
     devices_.resize(topology_->size());
@@ -43,7 +43,7 @@ MakespanScheduler::estimateLocked(RequestOp op,
 MakespanScheduler::Placement
 MakespanScheduler::bookLocked(size_t requests, const Estimate &est)
 {
-    // Greedy makespan minimisation: land on the device whose load
+    // Makespan minimisation: land on the device whose load
     // plus this chunk's contended marginal cost is smallest. The
     // contention term re-exposes the chunk's staging traffic once per
     // chunk already in flight on the device (HbmContentionModel with
@@ -84,8 +84,7 @@ MakespanScheduler::Placement
 MakespanScheduler::place(RequestOp op, const std::string &cls,
                          size_t requests)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return bookLocked(requests, estimateLocked(op, cls));
+    return placeBatch({{op, cls, requests}}).front();
 }
 
 std::vector<MakespanScheduler::Placement>
@@ -93,26 +92,23 @@ MakespanScheduler::placeBatch(const std::vector<ChunkDesc> &chunks)
 {
     std::lock_guard<std::mutex> lock(mutex_);
 
-    // Booking order: input (pop) order for greedy; descending
-    // estimated chunk cost for lookahead (LPT — placing the long
-    // chunks while the ledger is emptiest is the classic makespan
-    // heuristic). Ties keep input order, so the schedule stays
-    // deterministic for a deterministic workload.
+    // Booking order: descending estimated chunk cost (LPT — placing
+    // the long chunks while the ledger is emptiest is the classic
+    // makespan heuristic). Ties keep input order, so the schedule
+    // stays deterministic for a deterministic workload.
     std::vector<size_t> order(chunks.size());
     for (size_t i = 0; i < order.size(); ++i)
         order[i] = i;
     std::vector<Estimate> ests(chunks.size());
     for (size_t i = 0; i < chunks.size(); ++i)
         ests[i] = estimateLocked(chunks[i].op, chunks[i].cls);
-    if (policy_.lookahead) {
-        std::stable_sort(order.begin(), order.end(),
-                         [&](size_t a, size_t b) {
-                             return double(chunks[a].requests) *
-                                        ests[a].busy >
-                                    double(chunks[b].requests) *
-                                        ests[b].busy;
-                         });
-    }
+    std::stable_sort(order.begin(), order.end(),
+                     [&](size_t a, size_t b) {
+                         return double(chunks[a].requests) *
+                                    ests[a].busy >
+                                double(chunks[b].requests) *
+                                    ests[b].busy;
+                     });
 
     std::vector<Placement> placements(chunks.size());
     for (size_t i : order)
@@ -135,7 +131,7 @@ MakespanScheduler::splitPlans(
     size_t unpaused = 0;
     for (const DeviceState &st : devices_)
         unpaused += st.paused ? 0 : 1;
-    if (!policy_.split || unpaused <= 1)
+    if (unpaused <= 1)
         return plans;
 
     // The chunk no longer runs whole on the placement device: release
@@ -192,45 +188,6 @@ MakespanScheduler::splitPlans(
         plans[g.stage][g.index] = best;
     }
     return plans;
-}
-
-bool
-MakespanScheduler::rehome(Placement &p, RequestOp op,
-                          const std::string &cls, size_t requests)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-
-    // Release, re-score, re-book — all under one lock, so the ledger
-    // never double-counts the chunk and never drops it either.
-    DeviceState &cur = devices_.at(p.device);
-    cur.load -= std::min(cur.load, p.booked);
-    if (cur.inflight > 0)
-        --cur.inflight;
-
-    const Estimate est = estimateLocked(op, cls);
-    size_t best = devices_.size();
-    double best_score = 0;
-    for (size_t d = 0; d < devices_.size(); ++d) {
-        const DeviceState &st = devices_[d];
-        if (st.paused)
-            continue;
-        const double projected =
-            double(requests) *
-            (est.busy + double(st.inflight) * est.staging);
-        const double score = double(st.load) + projected;
-        if (best == devices_.size() || score < best_score) {
-            best = d;
-            best_score = score;
-        }
-    }
-    rpu_assert(best < devices_.size(),
-               "every device of the topology is paused");
-
-    const bool moved = best != p.device;
-    p.device = best;
-    devices_[best].load += p.booked;
-    ++devices_[best].inflight;
-    return moved;
 }
 
 void
@@ -292,34 +249,6 @@ MakespanScheduler::complete(const Placement &p, RequestOp op,
     std::vector<uint64_t> busy(p.device + 1, 0);
     busy[p.device] = busyCycles;
     complete(p, op, cls, requests, busy, stagingCycles, false);
-}
-
-std::vector<size_t>
-MakespanScheduler::stagePlan(const Placement &p, size_t groups) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<size_t> plan(groups, p.device);
-    if (groups <= 1 || devices_.size() <= 1)
-        return plan;
-
-    // Unpaused devices in ascending-load order, placement device
-    // first (it already carries this chunk's booking, and keeping it
-    // first means a 2-group stage on an idle topology uses the
-    // placement device plus one helper rather than skipping it).
-    std::vector<size_t> order;
-    for (size_t d = 0; d < devices_.size(); ++d) {
-        if (!devices_[d].paused && d != p.device)
-            order.push_back(d);
-    }
-    std::stable_sort(order.begin(), order.end(),
-                     [&](size_t a, size_t b) {
-                         return devices_[a].load < devices_[b].load;
-                     });
-    order.insert(order.begin(), p.device);
-
-    for (size_t g = 0; g < groups; ++g)
-        plan[g] = order[g % order.size()];
-    return plan;
 }
 
 void

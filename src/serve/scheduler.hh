@@ -1,8 +1,7 @@
 /**
  * @file
  * MakespanScheduler: contention-aware placement of serving work
- * across an RpuTopology, with three stacked policies on top of the
- * greedy baseline.
+ * across an RpuTopology.
  *
  * The placement unit is exactly what the dispatcher produces: a
  * same-(op, kernel-class) chunk whose device cost is a handful of
@@ -25,34 +24,26 @@
  * a cost sample, and folding it in would poison every later
  * placement of the class.
  *
- * The SchedulerPolicy flags stack three refinements over the greedy
- * chunk-at-a-time baseline (all on by default; the shard bench's
- * ablation table prices each):
+ * Placement is one policy, in two steps:
  *
- *  - lookahead: placeBatch() books a popped batch's chunks jointly,
- *    longest-estimated-first (LPT) instead of pop order, so a large
- *    chunk never lands on a device a small one just took merely
+ *  - placeBatch() books a popped batch's chunks jointly,
+ *    longest-estimated-first (LPT) rather than in pop order, so a
+ *    large chunk never lands on a device a small one just took merely
  *    because it was popped later. Placements come back in input
  *    order — execution order (fairness) is unchanged.
  *
- *  - split: splitPlans() replaces a placed chunk's whole-device
- *    booking with per-tile-group bookings, assigning every stage's
- *    launch groups jointly (LPT by estimated group cost) to the
+ *  - splitPlans() replaces a placed chunk's whole-device booking
+ *    with per-tile-group bookings, assigning every stage's launch
+ *    groups jointly (LPT by estimated group cost) to the
  *    least-loaded unpaused devices. A lone large chunk then spreads
  *    its three stage dispatches across an idle device set instead of
- *    serialising on one device — the difference between 6.0x and
- *    >7x modelled scaling at 8 devices on the replay workload.
- *
- *  - steal: rehome() re-places a booked-but-unstarted chunk that an
- *    idle dispatcher re-claimed from the most-loaded device's
- *    pending list. The booking moves atomically (release + rebook
- *    under one lock), so the makespan ledger stays conserved, and a
- *    paused device is never a destination.
+ *    serialising on one device — 7.37x instead of 6.79x modelled
+ *    scaling at 8 devices on the replay workload.
  *
  * Paused (drained-for-maintenance) devices are never selected by any
  * placement path; a 1-device topology degenerates to "always device
  * 0" with uniform plans, which keeps the single-device serving path
- * bit-identical and ledger-identical whatever the policy flags say.
+ * bit-identical and ledger-identical.
  */
 
 #ifndef RPU_SERVE_SCHEDULER_HH
@@ -74,39 +65,11 @@ class RpuTopology;
 
 namespace serve {
 
-/** Which refinements stack on the greedy placement baseline. The
- *  default is everything on (the production configuration); the
- *  named constructors are the bench's ablation tiers. */
-struct SchedulerPolicy
-{
-    bool lookahead = true; ///< joint LPT booking of a popped batch
-    bool split = true;     ///< per-stage group spreading of a chunk
-    bool steal = true;     ///< idle dispatchers re-claim booked chunks
-
-    /** The PR 9 baseline: chunk-at-a-time, chunk-grained, no steal. */
-    static SchedulerPolicy greedy() { return {false, false, false}; }
-    static SchedulerPolicy all() { return {true, true, true}; }
-
-    const char *name() const
-    {
-        if (steal)
-            return "+steal";
-        if (split)
-            return "+split";
-        if (lookahead)
-            return "+lookahead";
-        return "greedy";
-    }
-};
-
 /** See the file comment. */
 class MakespanScheduler
 {
   public:
-    explicit MakespanScheduler(std::shared_ptr<RpuTopology> topology,
-                               SchedulerPolicy policy = {});
-
-    const SchedulerPolicy &policy() const { return policy_; }
+    explicit MakespanScheduler(std::shared_ptr<RpuTopology> topology);
 
     /** One booked chunk placement; pass back to complete(). */
     struct Placement
@@ -129,17 +92,16 @@ class MakespanScheduler
     /**
      * Route a @p requests-request chunk of (@p op, @p cls) to the
      * device minimising projected makespan, booking its estimated
-     * cost there. Fatal when every device is paused.
+     * cost there: placeBatch of a one-chunk batch. Fatal when every
+     * device is paused.
      */
     Placement place(RequestOp op, const std::string &cls,
                     size_t requests);
 
     /**
-     * Place a whole popped batch's chunks under one lock. With the
-     * lookahead policy the chunks are *booked* in descending
-     * estimated-cost order (LPT — the classic makespan heuristic);
-     * without it, in input order (exactly repeated place() calls).
-     * The returned placements are always in input order, so
+     * Place a whole popped batch's chunks under one lock, *booked* in
+     * descending estimated-cost order (LPT — the classic makespan
+     * heuristic). The returned placements are in input order, so
      * execution order — and with it queue fairness — is unchanged.
      */
     std::vector<Placement>
@@ -158,7 +120,7 @@ class MakespanScheduler
     static constexpr double kPointwiseTowerWeight = 0.145;
 
     /**
-     * Split policy: convert @p p's whole-chunk booking into
+     * Convert @p p's whole-chunk booking into
      * per-tile-group bookings and return one device plan per stage
      * (plans[s][g] = device executing group g of stage s, feedable
      * straight into RpuTopology::runTowers).
@@ -167,24 +129,13 @@ class MakespanScheduler
      * assigned jointly, largest first, to the least-loaded unpaused
      * device, each assignment booking its share of the chunk's
      * estimated cycles (recorded in p.stageBooked for complete() to
-     * release). With one unpaused device — or the split policy off —
-     * every plan is uniform on the placement device and no booking
-     * moves, so the degenerate path is byte-identical to stagePlan.
+     * release). With one unpaused device every plan is uniform on
+     * the placement device and no booking moves.
      */
     std::vector<std::vector<size_t>>
     splitPlans(Placement &p, RequestOp op, const std::string &cls,
                size_t requests,
                const std::vector<std::vector<double>> &stageWeights);
-
-    /**
-     * Steal policy: re-place a booked-but-unstarted chunk that an
-     * idle dispatcher claimed. The booking is released from
-     * p.device and re-booked on the currently best-scoring unpaused
-     * device under one lock — load is conserved, and a paused device
-     * is never a destination. Returns true when the chunk moved.
-     */
-    bool rehome(Placement &p, RequestOp op, const std::string &cls,
-                size_t requests);
 
     /**
      * Replace the placement's bookings with the measured per-device
@@ -206,16 +157,6 @@ class MakespanScheduler
     void complete(const Placement &p, RequestOp op,
                   const std::string &cls, size_t requests,
                   uint64_t busyCycles, uint64_t stagingCycles);
-
-    /**
-     * Per-tile-group device plan for one sharded stage of a chunk
-     * placed at @p p — the pre-split round-robin fallback: one group
-     * (or a 1-device topology) stays entirely on the placement
-     * device; more groups round-robin across the unpaused devices in
-     * ascending-load order, the placement device first.
-     */
-    std::vector<size_t> stagePlan(const Placement &p, size_t groups)
-        const;
 
     /**
      * Drain a device out of (or back into) the placement set. Work
@@ -250,14 +191,13 @@ class MakespanScheduler
 
     static std::string key(RequestOp op, const std::string &cls);
 
-    /** The greedy booking step, under mutex_: best-scoring unpaused
+    /** One booking step, under mutex_: best-scoring unpaused
      *  device for a @p requests chunk with @p est, booking applied. */
     Placement bookLocked(size_t requests, const Estimate &est);
 
     Estimate estimateLocked(RequestOp op, const std::string &cls) const;
 
     std::shared_ptr<RpuTopology> topology_;
-    SchedulerPolicy policy_;
 
     mutable std::mutex mutex_;
     std::vector<DeviceState> devices_;

@@ -48,10 +48,8 @@ HeServer::HeServer(const ServeConfig &cfg,
                "batch bounds must be positive");
     rpu_assert(cfg_.dispatchers >= 1, "need at least one dispatcher");
     if (topology_) {
-        scheduler_ =
-            std::make_unique<MakespanScheduler>(topology_, cfg_.policy);
+        scheduler_ = std::make_unique<MakespanScheduler>(topology_);
         device_ = topology_->device(0);
-        pending_.resize(topology_->size());
     }
     if (!cfg_.startPaused)
         start();
@@ -131,9 +129,13 @@ HeServer::submit(uint64_t tenant_id, RequestOp op,
                  std::vector<std::complex<double>> a,
                  std::vector<std::complex<double>> b)
 {
+    Submission sub;
     Session *sess = tenant(tenant_id);
-    rpu_assert(sess != nullptr, "unknown tenant %llu",
-               (unsigned long long)tenant_id);
+    if (!sess) {
+        sub.status = SubmitStatus::RejectedInvalid;
+        ++rejected_invalid_;
+        return sub;
+    }
 
     ServeRequest req;
     req.tenant = tenant_id;
@@ -148,11 +150,15 @@ HeServer::submit(uint64_t tenant_id, RequestOp op,
     req.b = std::move(b);
     req.submitted = std::chrono::steady_clock::now();
 
-    Submission sub;
     // The future must exist before push: a dispatcher may pop and
-    // fulfil the request before push even returns.
+    // fulfil the request before push even returns. Operands beyond
+    // the tenant's slots would abort the dispatcher that encodes
+    // them, so they never reach the queue.
     sub.response = req.done.get_future();
-    sub.status = queue_.push(req);
+    const size_t slots = sess->ctx().slots();
+    sub.status = req.a.size() > slots || req.b.size() > slots
+                     ? SubmitStatus::RejectedInvalid
+                     : queue_.push(req);
     sess->noteSubmission(sub.status);
     switch (sub.status) {
       case SubmitStatus::Accepted:
@@ -163,6 +169,9 @@ HeServer::submit(uint64_t tenant_id, RequestOp op,
         break;
       case SubmitStatus::RejectedShutdown:
         ++rejected_shutdown_;
+        break;
+      case SubmitStatus::RejectedInvalid:
+        ++rejected_invalid_;
         break;
     }
     return sub;
@@ -268,6 +277,7 @@ HeServer::stats() const
     s.accepted = accepted_;
     s.rejectedFull = rejected_full_;
     s.rejectedShutdown = rejected_shutdown_;
+    s.rejectedInvalid = rejected_invalid_;
     s.completed = completed_;
     s.failed = failed_;
     s.dispatches = dispatches_;
@@ -275,41 +285,18 @@ HeServer::stats() const
     s.coalescedChunks = coalesced_chunks_;
     s.coalescedRequests = coalesced_requests_;
     s.splitChunks = split_chunks_;
-    s.stolenChunks = stolen_chunks_;
     return s;
 }
 
 void
 HeServer::dispatchLoop()
 {
-    const bool stealing = scheduler_ != nullptr && cfg_.policy.steal;
     for (;;) {
-        if (!stealing) {
-            std::vector<ServeRequest> batch =
-                queue_.popBatch(cfg_.maxBatch, cfg_.maxPerTenant);
-            if (batch.empty())
-                return; // closed and drained
-            dispatchBatch(std::move(batch));
-            continue;
-        }
-
-        // Steal policy: the dispatcher polls two work sources — the
-        // admission queue and the per-device pending lists. The
-        // bounded pop keeps the thief responsive (a chunk never waits
-        // longer than the poll period for an idle dispatcher) without
-        // busy-spinning an idle server.
-        bool closed = false;
-        std::vector<ServeRequest> batch = queue_.popBatchFor(
-            cfg_.maxBatch, cfg_.maxPerTenant,
-            std::chrono::milliseconds(1), closed);
-        if (!batch.empty()) {
-            dispatchBatch(std::move(batch));
-            continue;
-        }
-        if (stealOne())
-            continue;
-        if (closed)
-            return; // drained: queue closed and nothing left to steal
+        std::vector<ServeRequest> batch =
+            queue_.popBatch(cfg_.maxBatch, cfg_.maxPerTenant);
+        if (batch.empty())
+            return; // closed and drained
+        dispatchBatch(std::move(batch));
     }
 }
 
@@ -373,13 +360,9 @@ HeServer::dispatchBatch(std::vector<ServeRequest> batch)
         }
     }
 
-    // Lookahead (and the steal policy, which needs placements before
-    // chunks can sit on a pending list) books the whole batch's
-    // chunks jointly up front. The plain greedy tier keeps the
-    // original place-at-execute-time flow — completions landing
-    // between placements and all — so it stays the exact regression
-    // baseline.
-    if (scheduler_ && (cfg_.policy.lookahead || cfg_.policy.steal)) {
+    // Book the whole batch's chunks jointly up front, longest first
+    // (see MakespanScheduler::placeBatch).
+    if (scheduler_) {
         std::vector<MakespanScheduler::ChunkDesc> descs;
         descs.reserve(cut.size());
         for (const PendingChunk &pc : cut) {
@@ -390,85 +373,11 @@ HeServer::dispatchBatch(std::vector<ServeRequest> batch)
         }
         std::vector<MakespanScheduler::Placement> placements =
             scheduler_->placeBatch(descs);
-        for (size_t i = 0; i < cut.size(); ++i) {
-            cut[i].placement = placements[i];
-            cut[i].placed = true;
-        }
-    }
-
-    if (scheduler_ && cfg_.policy.steal) {
-        // Park the placed chunks on their devices' pending lists,
-        // then drain in global FIFO order. With one dispatcher this
-        // executes exactly the sequence the direct path would; with
-        // several, idle dispatchers pull from the lists concurrently.
-        {
-            std::lock_guard<std::mutex> lock(pending_mutex_);
-            for (PendingChunk &pc : cut) {
-                pc.ordinal = next_ordinal_++;
-                pending_[pc.placement.device].push_back(std::move(pc));
-            }
-        }
-        drainPending();
-        return;
+        for (size_t i = 0; i < cut.size(); ++i)
+            cut[i].placement = std::move(placements[i]);
     }
     for (PendingChunk &pc : cut)
         executeChunk(std::move(pc));
-}
-
-void
-HeServer::drainPending()
-{
-    for (;;) {
-        PendingChunk pc;
-        {
-            std::lock_guard<std::mutex> lock(pending_mutex_);
-            std::deque<PendingChunk> *oldest = nullptr;
-            for (std::deque<PendingChunk> &dq : pending_) {
-                if (dq.empty())
-                    continue;
-                if (!oldest ||
-                    dq.front().ordinal < oldest->front().ordinal)
-                    oldest = &dq;
-            }
-            if (!oldest)
-                return;
-            pc = std::move(oldest->front());
-            oldest->pop_front();
-        }
-        executeChunk(std::move(pc));
-    }
-}
-
-bool
-HeServer::stealOne()
-{
-    PendingChunk pc;
-    {
-        std::lock_guard<std::mutex> lock(pending_mutex_);
-        // Victim: the most-loaded device that still has unstarted
-        // chunks parked — relieving it is the biggest makespan win.
-        size_t victim = pending_.size();
-        uint64_t worst = 0;
-        for (size_t d = 0; d < pending_.size(); ++d) {
-            if (pending_[d].empty())
-                continue;
-            const uint64_t l = scheduler_->load(d);
-            if (victim == pending_.size() || l > worst) {
-                victim = d;
-                worst = l;
-            }
-        }
-        if (victim == pending_.size())
-            return false;
-        pc = std::move(pending_[victim].front());
-        pending_[victim].pop_front();
-    }
-    const std::string &cls = tenant(pc.chunk[0].tenant)->kernelClass();
-    if (scheduler_->rehome(pc.placement, pc.chunk[0].op, cls,
-                           pc.chunk.size()))
-        ++stolen_chunks_;
-    executeChunk(std::move(pc));
-    return true;
 }
 
 void
@@ -494,16 +403,13 @@ HeServer::executeChunk(PendingChunk pc)
         responses[i].chunkRequests = k;
     }
 
-    // Place the chunk before touching the device: the scheduler books
-    // its estimated cost onto the chosen device's load ledger, and
-    // the booking is corrected to the measured window on completion.
-    // Batch-placed (lookahead/steal) chunks arrive already booked.
-    // On a 1-device topology this is always device 0 with a uniform
-    // plan — the PR 8 path, bit-identical launches and all.
-    MakespanScheduler::Placement placement = std::move(pc.placement);
+    // The chunk arrives placed: its estimated cost is booked on the
+    // chosen device's load ledger, and the booking is corrected to the
+    // measured window on completion. On a 1-device topology this is
+    // always device 0 with a uniform plan — the single-device path,
+    // bit-identical launches and all.
+    MakespanScheduler::Placement &placement = pc.placement;
     const std::string &cls = sessions[0]->kernelClass();
-    if (scheduler_ && !pc.placed)
-        placement = scheduler_->place(chunk[0].op, cls, k);
 
     const RpuTopology::Snapshot before =
         topology_ ? topology_->snapshot() : RpuTopology::Snapshot{};
@@ -554,8 +460,8 @@ HeServer::executeChunk(PendingChunk pc)
         topology_ ? topology_->since(before) : RpuTopology::Snapshot{};
     const DeviceStats delta = RpuTopology::aggregate(window);
     if (scheduler_) {
-        // Credit each device the cycles it actually spent — under the
-        // split policy a chunk's stages land on several devices, and
+        // Credit each device the cycles it actually spent — a split
+        // chunk's stages land on several devices, and
         // crediting the placement device alone would skew the ledger.
         std::vector<uint64_t> busy(window.size(), 0);
         for (size_t d = 0; d < window.size(); ++d)
@@ -614,42 +520,26 @@ HeServer::coalescedMulPlain(MakespanScheduler::Placement &placement,
     for (size_t i = 0; i < k; ++i)
         entry_towers += moduli[i].size();
 
-    // Per-stage device plans, fixed before the first launch. Under
-    // the split policy the scheduler assigns all three stages' tile
-    // groups jointly to the least-loaded devices (re-shaping the
-    // chunk's booking to match); otherwise each stage round-robins
-    // its groups from the placement device via the legacy stagePlan.
+    // Per-stage device plans, fixed before the first launch: the
+    // scheduler assigns all three stages' tile groups jointly to the
+    // least-loaded devices, re-shaping the chunk's booking to match.
     // Loads can't move between the three launches of one chunk in the
     // deterministic single-dispatcher configuration, so planning up
     // front is behaviour-identical to planning per stage.
-    std::vector<std::vector<size_t>> plans;
-    if (scheduler_->policy().split) {
-        plans = scheduler_->splitPlans(
-            placement, chunk[0].op, sessions[0]->kernelClass(), k,
-            {RpuTopology::groupWeights(
-                 entry_towers, MakespanScheduler::kForwardTowerWeight),
-             RpuTopology::groupWeights(
-                 2 * entry_towers,
-                 MakespanScheduler::kPointwiseTowerWeight),
-             RpuTopology::groupWeights(
-                 2 * k, MakespanScheduler::kInverseTowerWeight)});
-    } else {
-        plans = {
-            scheduler_->stagePlan(placement,
-                                  RpuTopology::tileGroups(entry_towers)),
-            scheduler_->stagePlan(
-                placement, RpuTopology::tileGroups(2 * entry_towers)),
-            scheduler_->stagePlan(placement,
-                                  RpuTopology::tileGroups(2 * k))};
-    }
-    if (scheduler_->policy().split) {
-        bool spread = false;
-        for (const auto &plan : plans)
-            for (size_t d : plan)
-                spread = spread || d != placement.device;
-        if (spread)
-            ++split_chunks_;
-    }
+    const std::vector<std::vector<size_t>> plans = scheduler_->splitPlans(
+        placement, chunk[0].op, sessions[0]->kernelClass(), k,
+        {RpuTopology::groupWeights(entry_towers,
+                                   MakespanScheduler::kForwardTowerWeight),
+         RpuTopology::groupWeights(
+             2 * entry_towers, MakespanScheduler::kPointwiseTowerWeight),
+         RpuTopology::groupWeights(
+             2 * k, MakespanScheduler::kInverseTowerWeight)});
+    bool spread = false;
+    for (const auto &plan : plans)
+        for (size_t d : plan)
+            spread = spread || d != placement.device;
+    if (spread)
+        ++split_chunks_;
 
     // Launch 1: every tenant's plaintext enters Eval together.
     std::vector<std::vector<std::vector<u128>>> pt_in(k);

@@ -16,19 +16,13 @@
  *    (op, kernel class) and cut each group into chunks of
  *    power-of-two sizes up to maxCoalesce. Every chunk is then
  *    *placed*: a MakespanScheduler routes it to the device of the
- *    RpuTopology minimising the projected contention-aware makespan.
- *    The ServeConfig's SchedulerPolicy stacks three refinements on
- *    that greedy baseline (see scheduler.hh): lookahead books the
- *    whole popped batch's chunks jointly longest-first; split spreads
- *    one chunk's coalesced stage groups across idle devices via
- *    per-stage plans; steal parks placed chunks on per-device pending
- *    lists so an idle dispatcher can re-claim work from the
- *    most-loaded device (bookings moved atomically). Without split, a
- *    chunk whose tiled stages cut into several launch groups still
- *    round-robins them across the least-loaded devices (stagePlan).
+ *    RpuTopology minimising the projected contention-aware makespan
+ *    (see scheduler.hh): the whole popped batch's chunks are booked
+ *    jointly longest-first, and each coalesced chunk's stage groups
+ *    spread across the least-loaded devices via per-stage plans.
  *    A 1-device topology degenerates to the PR 8 single-device path
- *    exactly under every policy (always device 0, uniform plans,
- *    identical launches and ledger). A chunk of compatible
+ *    exactly (always device 0, uniform plans, identical launches and
+ *    ledger). A chunk of compatible
  *    MulPlainRescale requests — typically from *different tenants*,
  *    since each tenant's lane is capped per batch — executes as
  *    three coalesced device dispatches (plaintext Eval entry,
@@ -61,7 +55,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -90,11 +83,6 @@ struct ServeConfig
     unsigned dispatchers = 1;   ///< dispatcher threads
     bool coalesce = true;       ///< cross-tenant launch coalescing
 
-    /** Which placement policies stack on the greedy baseline (all on
-     *  by default; SchedulerPolicy::greedy() is the PR 9 behaviour).
-     *  Irrelevant to host-only servers. See scheduler.hh. */
-    SchedulerPolicy policy;
-
     /** Don't start dispatchers in the constructor; the first start()
      *  (or shutdown(), which drains) does. Lets tests and ledger
      *  harnesses queue a known request set before any dispatch, so
@@ -108,6 +96,7 @@ struct ServerStats
     uint64_t accepted = 0;
     uint64_t rejectedFull = 0;
     uint64_t rejectedShutdown = 0;
+    uint64_t rejectedInvalid = 0;
     uint64_t completed = 0;
     uint64_t failed = 0;
     uint64_t dispatches = 0;        ///< batches popped
@@ -115,7 +104,9 @@ struct ServerStats
     uint64_t coalescedChunks = 0;   ///< chunks with > 1 request
     uint64_t coalescedRequests = 0; ///< requests inside those
     uint64_t splitChunks = 0;       ///< chunks whose stages spread devices
-    uint64_t stolenChunks = 0;      ///< chunks re-claimed by idle dispatchers
+    /** Always 0: work stealing is gone, but rpubench/ still reads
+     *  this field. Delete with the next benchmark change. */
+    uint64_t stolenChunks = 0;
 };
 
 /** What submit() hands back. */
@@ -169,7 +160,10 @@ class HeServer
      * Submit one request: assigns the tenant's next seq, stamps the
      * arrival time, and offers it to the queue. Non-blocking — a
      * full queue rejects immediately (open-loop generators depend on
-     * this). Thread-safe from any number of producers.
+     * this). An unknown tenant, or an operand with more values than
+     * the tenant's n/2 slots, is RejectedInvalid (a known tenant's
+     * seq is still consumed). Thread-safe from any number of
+     * producers.
      */
     Submission submit(uint64_t tenant, RequestOp op,
                       std::vector<std::complex<double>> a,
@@ -200,40 +194,27 @@ class HeServer
     ServerStats stats() const;
 
   private:
-    /** One cut chunk on its way to a device: what the dispatcher
-     *  executes directly, or — under the steal policy — what sits on
-     *  a device's pending list until its placement device's
-     *  dispatcher (or an idle thief) claims it. */
+    /** One cut chunk on its way to a device, already placed (the
+     *  placement is empty on host-only servers). */
     struct PendingChunk
     {
         std::vector<ServeRequest> chunk;
         MakespanScheduler::Placement placement;
-        bool placed = false; ///< placement pre-booked by the batch placer
         uint64_t dispatchIndex = 0;
         std::chrono::steady_clock::time_point popped;
-        uint64_t ordinal = 0; ///< global FIFO order across devices
     };
 
     void dispatchLoop();
 
-    /** Group, cut, place, and execute (or enqueue) one popped batch. */
+    /** Group, cut, place, and execute one popped batch. */
     void dispatchBatch(std::vector<ServeRequest> batch);
-
-    /** Execute queued pending chunks in global FIFO order until the
-     *  pending lists are empty. */
-    void drainPending();
-
-    /** Steal policy: claim the oldest booked-but-unstarted chunk from
-     *  the most-loaded device's pending list, re-place it on the best
-     *  device, and execute it. Returns false when nothing is pending. */
-    bool stealOne();
 
     /** Execute one same-(op, class) chunk and fulfil its promises. */
     void executeChunk(PendingChunk pc);
 
     /** The three-launch coalesced MulPlainRescale pipeline, each
      *  stage sharded across the topology per @p placement (whose
-     *  bookings splitPlans may re-shape under the split policy). */
+     *  bookings splitPlans re-shapes). */
     void coalescedMulPlain(MakespanScheduler::Placement &placement,
                            std::vector<ServeRequest> &chunk,
                            std::vector<Session *> &sessions,
@@ -264,6 +245,7 @@ class HeServer
     std::atomic<uint64_t> accepted_{0};
     std::atomic<uint64_t> rejected_full_{0};
     std::atomic<uint64_t> rejected_shutdown_{0};
+    std::atomic<uint64_t> rejected_invalid_{0};
     std::atomic<uint64_t> completed_{0};
     std::atomic<uint64_t> failed_{0};
     std::atomic<uint64_t> dispatches_{0};
@@ -271,15 +253,6 @@ class HeServer
     std::atomic<uint64_t> coalesced_chunks_{0};
     std::atomic<uint64_t> coalesced_requests_{0};
     std::atomic<uint64_t> split_chunks_{0};
-    std::atomic<uint64_t> stolen_chunks_{0};
-
-    /** Steal-policy state: per-device lists of placed-but-unstarted
-     *  chunks, claimed under pending_mutex_ (by the placing
-     *  dispatcher in ordinal order, or by an idle thief from the
-     *  most-loaded device). Untouched when the steal policy is off. */
-    std::mutex pending_mutex_;
-    std::vector<std::deque<PendingChunk>> pending_;
-    uint64_t next_ordinal_ = 0;
 
     std::mutex shutdown_mutex_; ///< guards started_/shut_down_/threads
     bool started_ = false;

@@ -104,6 +104,9 @@ Session::noteSubmission(SubmitStatus s)
       case SubmitStatus::RejectedShutdown:
         ++acct_.rejectedShutdown;
         break;
+      case SubmitStatus::RejectedInvalid:
+        ++acct_.rejectedInvalid;
+        break;
     }
 }
 

@@ -70,6 +70,7 @@ struct TenantAccounting
     uint64_t accepted = 0;
     uint64_t rejectedFull = 0;
     uint64_t rejectedShutdown = 0;
+    uint64_t rejectedInvalid = 0;
     uint64_t completed = 0;
     uint64_t failed = 0;
     uint64_t coalesced = 0; ///< completed in a chunk with >1 requests

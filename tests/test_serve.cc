@@ -514,6 +514,53 @@ TEST(HeServer, BackpressureRejectsWithStatusAndServesTheRest)
     EXPECT_EQ(late.status, SubmitStatus::RejectedShutdown);
 }
 
+TEST(HeServer, InvalidRequestsAreRejectedAndTheServerSurvives)
+{
+    ServeConfig cfg;
+    cfg.startPaused = true;
+    HeServer server(cfg, std::make_shared<RpuDevice>());
+    server.addTenant({1, serveParams(), 30});
+    const size_t slots = server.tenant(1)->ctx().slots();
+
+    // An unknown tenant, and operands with more values than the
+    // tenant's slots (either side), are turned away at admission
+    // instead of aborting the process here or in a dispatcher.
+    const auto fits = slotValues(8, 1);
+    const auto overflow = slotValues(slots + 1, 2);
+    EXPECT_EQ(server.submit(9, RequestOp::MulPlainRescale, fits, fits)
+                  .status,
+              SubmitStatus::RejectedInvalid);
+    EXPECT_EQ(
+        server.submit(1, RequestOp::MulPlainRescale, overflow, fits)
+            .status,
+        SubmitStatus::RejectedInvalid);
+    EXPECT_EQ(server.submit(1, RequestOp::MulCtRescale, fits, overflow)
+                  .status,
+              SubmitStatus::RejectedInvalid);
+
+    // The rejected submissions still consumed tenant 1's seqs 0 and
+    // 1, so the next valid request runs as seq 2 — and is served
+    // bit-identically to the serial reference.
+    const auto b = slotValues(slots, 3);
+    auto sub = server.submit(1, RequestOp::MulPlainRescale, fits, b);
+    ASSERT_EQ(sub.status, SubmitStatus::Accepted);
+    server.shutdown();
+    const ServeResponse resp = sub.response.get();
+    EXPECT_EQ(resp.seq, 2u);
+    EXPECT_EQ(resp.values,
+              server.tenant(1)->runSerial(RequestOp::MulPlainRescale,
+                                          fits, b, 2));
+
+    const auto stats = server.stats();
+    EXPECT_EQ(stats.rejectedInvalid, 3u);
+    EXPECT_EQ(stats.accepted, 1u);
+    EXPECT_EQ(stats.completed, 1u);
+    EXPECT_EQ(stats.failed, 0u);
+    EXPECT_EQ(server.tenant(1)->accounting().rejectedInvalid, 2u);
+    EXPECT_STREQ(serve::submitStatusName(SubmitStatus::RejectedInvalid),
+                 "rejected-invalid");
+}
+
 TEST(HeServer, ShutdownDrainsEveryAcceptedFuture)
 {
     ServeConfig cfg;

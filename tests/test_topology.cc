@@ -328,7 +328,7 @@ TEST(TileExecutor, PackedShapeMatchesPerTowerLaunches)
         size_t towers = 0;
         for (size_t c : counts)
             towers += c;
-        ASSERT_EQ(RpuTopology::tileGroups(towers), 2u);
+        ASSERT_EQ(RpuTopology::groupWeights(towers, 1.0).size(), 2u);
 
         for (unsigned workers : {1u, 2u}) {
             for (size_t devices : {size_t(1), size_t(2)}) {
@@ -484,10 +484,13 @@ TEST(MakespanScheduler, OneDeviceTopologyAlwaysPlacesOnDeviceZero)
     auto topo = std::make_shared<RpuTopology>(1);
     MakespanScheduler sched(topo);
     for (int i = 0; i < 4; ++i) {
-        const auto p = sched.place(RequestOp::MulPlainRescale, "c", 8);
+        auto p = sched.place(RequestOp::MulPlainRescale, "c", 8);
         EXPECT_EQ(p.device, 0u);
-        EXPECT_EQ(sched.stagePlan(p, 3),
-                  (std::vector<size_t>{0, 0, 0}));
+        // One device: the uniform plan, and the booking stays whole.
+        EXPECT_EQ(sched.splitPlans(p, RequestOp::MulPlainRescale, "c", 8,
+                                   {{1, 1, 1}}),
+                  (std::vector<std::vector<size_t>>{{0, 0, 0}}));
+        EXPECT_TRUE(p.stageBooked.empty());
         sched.complete(p, RequestOp::MulPlainRescale, "c", 8, 1000,
                        100);
     }
@@ -526,10 +529,11 @@ TEST(MakespanScheduler, PausedDeviceIsNeverSelected)
     EXPECT_TRUE(sched.paused(0));
 
     for (int i = 0; i < 6; ++i) {
-        const auto p = sched.place(op, "c", 4);
+        auto p = sched.place(op, "c", 4);
         EXPECT_NE(p.device, 0u);
         // Stage plans skip it too, no matter how many groups.
-        for (size_t d : sched.stagePlan(p, 5))
+        const auto plans = sched.splitPlans(p, op, "c", 4, {{1, 1, 1, 1, 1}});
+        for (size_t d : plans[0])
             EXPECT_NE(d, 0u);
         sched.complete(p, op, "c", 4, 4000, 400);
     }
@@ -591,31 +595,20 @@ TEST(MakespanScheduler, FailedChunkReleasesBookingButSkipsEwma)
 TEST(MakespanScheduler, PlaceBatchBooksLongestChunksFirst)
 {
     // Two classes with 10x different learned costs, two devices with
-    // unequal loads. Lookahead must book the expensive chunk onto the
-    // emptier device before the cheap one can squat there; greedy in
-    // pop order stacks both on it.
+    // unequal loads. The expensive chunk must book onto the emptier
+    // device before the cheap one, popped first, can squat there.
     const auto op = RequestOp::MulPlainRescale;
-    const auto seed = [&](MakespanScheduler &sched) {
-        const auto pb = sched.place(op, "big", 1);
-        sched.complete(pb, op, "big", 1, 1000, 0); // device 0: load 1000
-        const auto ps = sched.place(op, "small", 1);
-        sched.complete(ps, op, "small", 1, 100, 0); // device 1: load 100
-    };
-    const std::vector<MakespanScheduler::ChunkDesc> batch = {
-        {op, "small", 1}, {op, "big", 1}};
-
     auto topo = std::make_shared<RpuTopology>(2);
-    MakespanScheduler lpt(topo, serve::SchedulerPolicy::all());
-    seed(lpt);
-    const auto spread = lpt.placeBatch(batch);
+    MakespanScheduler sched(topo);
+    const auto pb = sched.place(op, "big", 1);
+    sched.complete(pb, op, "big", 1, 1000, 0); // device 0: load 1000
+    const auto ps = sched.place(op, "small", 1);
+    sched.complete(ps, op, "small", 1, 100, 0); // device 1: load 100
+
+    const auto spread =
+        sched.placeBatch({{op, "small", 1}, {op, "big", 1}});
     EXPECT_EQ(spread[1].device, 1u); // big books first, takes the idle
     EXPECT_EQ(spread[0].device, 0u); // small lands beside the old load
-
-    MakespanScheduler greedy(topo, serve::SchedulerPolicy::greedy());
-    seed(greedy);
-    const auto stacked = greedy.placeBatch(batch);
-    EXPECT_EQ(stacked[0].device, 1u); // pop order: small takes the idle
-    EXPECT_EQ(stacked[1].device, 1u); // ...and big piles on behind it
 }
 
 TEST(MakespanScheduler, SplitPlansConserveBookingsAndSkipPaused)
@@ -671,31 +664,6 @@ TEST(MakespanScheduler, SplitPlansConserveBookingsAndSkipPaused)
     EXPECT_EQ(sched.load(0) + sched.load(1) + sched.load(2) +
                   sched.load(3),
               8000u + 600u);
-}
-
-TEST(MakespanScheduler, RehomeMovesBookingAtomicallyAndAvoidsPaused)
-{
-    auto topo = std::make_shared<RpuTopology>(3);
-    MakespanScheduler sched(topo);
-    const auto op = RequestOp::MulPlainRescale;
-
-    const auto p0 = sched.place(op, "c", 8);
-    sched.complete(p0, op, "c", 8, 8000, 800); // device 0: load 8000
-    auto p = sched.place(op, "c", 8);
-    EXPECT_EQ(p.device, 1u);
-    EXPECT_EQ(sched.load(1), 8000u);
-
-    // The chunk's home drains for maintenance while it waits. Stealing
-    // it must move the booking in one step — total load conserved —
-    // and never onto a paused device.
-    sched.pause(0);
-    sched.pause(1);
-    EXPECT_TRUE(sched.rehome(p, op, "c", 8));
-    EXPECT_EQ(p.device, 2u);
-    EXPECT_EQ(sched.load(1), 0u);
-    EXPECT_EQ(sched.load(2), 8000u);
-    EXPECT_EQ(sched.load(0), 8000u); // untouched bystander
-    sched.complete(p, op, "c", 8, 8000, 800);
 }
 
 // ----------------------------------------------------------------------
@@ -833,18 +801,15 @@ TEST(HeServerTopology, PausedDeviceExecutesNothing)
 TEST(HeServerTopology, SplitChunkIsBitIdenticalToUnsplitAndSpreads)
 {
     // One coalesced chunk (2 tenants x 4 requests, all compatible)
-    // through a 4-device topology, with and without the split policy.
-    // Splitting changes only *where* stage groups execute — the
-    // responses must match the unsplit server and the serial
-    // reference bit for bit, while the split ledger shows the chunk's
-    // stages actually spread.
+    // through a 4-device topology, and through a 1-device one, whose
+    // plans are uniform. Splitting changes only *where* stage groups
+    // execute — the responses must match the unsplit server and the
+    // serial reference bit for bit, while the split ledger shows the
+    // chunk's stages actually spread.
     std::vector<std::vector<Cplx>> values[2];
     for (int pass = 0; pass < 2; ++pass) {
-        auto topo = std::make_shared<RpuTopology>(4);
-        ServeConfig cfg = topoServeConfig();
-        cfg.policy = pass == 0 ? serve::SchedulerPolicy::all()
-                               : serve::SchedulerPolicy{true, false, false};
-        HeServer server(cfg, topo);
+        auto topo = std::make_shared<RpuTopology>(pass == 0 ? 4 : 1);
+        HeServer server(topoServeConfig(), topo);
         for (uint64_t id = 1; id <= 2; ++id)
             server.addTenant({id, topoParams(), 30});
 
@@ -887,13 +852,12 @@ TEST(HeServerTopology, SplitChunkIsBitIdenticalToUnsplitAndSpreads)
     EXPECT_EQ(values[0], values[1]);
 }
 
-TEST(HeServerTopology, TwoDispatchersWithStealingDrainCorrectly)
+TEST(HeServerTopology, TwoDispatchersDrainCorrectly)
 {
-    // Two dispatcher threads over a 4-device topology with every
-    // policy on: placed chunks sit on per-device pending lists and an
-    // idle dispatcher may re-claim them, so chunk execution order and
-    // steal counts are racy — but every accepted request must still
-    // complete bit-identically to the serial reference.
+    // Two dispatcher threads over a 4-device topology place and
+    // execute batches concurrently, so chunk execution order and the
+    // placement ledger are racy — but every accepted request must
+    // still complete bit-identically to the serial reference.
     auto topo = std::make_shared<RpuTopology>(4);
     ServeConfig cfg = topoServeConfig();
     cfg.dispatchers = 2;
