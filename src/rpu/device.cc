@@ -16,8 +16,37 @@ std::vector<std::vector<u128>>
 FunctionalSimBackend::execute(RpuDevice &dev, const KernelImage &image,
                               const std::vector<std::vector<u128>> &inputs)
 {
+    std::unique_ptr<ArchState> held;
+    {
+        std::lock_guard<std::mutex> lock(idle_mutex_);
+        if (!idle_.empty()) {
+            held = std::move(idle_.back());
+            idle_.pop_back();
+        } else {
+            // Room for every state this backend will own, so the
+            // give-back below never allocates in a destructor.
+            idle_.reserve(++states_);
+        }
+    }
+    if (held)
+        held->reset(image.vdmBytesRequired);
+    else
+        held = std::make_unique<ArchState>(image.vdmBytesRequired);
+    // Back on the idle list however the launch ends; the next launch
+    // to take it resets it.
+    struct Return
+    {
+        FunctionalSimBackend &backend;
+        std::unique_ptr<ArchState> &state;
+        ~Return()
+        {
+            std::lock_guard<std::mutex> lock(backend.idle_mutex_);
+            backend.idle_.push_back(std::move(state));
+        }
+    } give_back{*this, held};
+    ArchState &state = *held;
+
     // Launch code: stage constants and data into the scratchpads.
-    ArchState state(image.vdmBytesRequired);
     for (size_t i = 0; i < image.sdmImage.size(); ++i)
         state.writeSdm(i, image.sdmImage[i]);
     state.loadVdm(image.twPlanBase, image.twPlanImage);

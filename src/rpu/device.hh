@@ -116,6 +116,15 @@ class ExecutionBackend
 /**
  * Bit-exact functional simulation of the B512 program — the paper's
  * verification path and this repository's default execution engine.
+ *
+ * The architectural state is resident, as the RPU's scratchpads and
+ * register files are: each launch takes an idle ArchState (building
+ * one only when every state is busy), resets it to exactly its
+ * freshly constructed value (ArchState::reset zeroes only what the
+ * previous launch wrote), stages, runs and dumps, then returns it —
+ * also when the launch throws. The backend therefore holds one state
+ * per launch it has ever run concurrently: 1 on a serial device,
+ * about workers + 1 on a pooled one.
  */
 class FunctionalSimBackend : public ExecutionBackend
 {
@@ -125,6 +134,13 @@ class FunctionalSimBackend : public ExecutionBackend
     std::vector<std::vector<u128>>
     execute(RpuDevice &dev, const KernelImage &image,
             const std::vector<std::vector<u128>> &inputs) override;
+
+  private:
+    std::mutex idle_mutex_;
+    /// States no launch is using; guarded by idle_mutex_.
+    std::vector<std::unique_ptr<ArchState>> idle_;
+    /// States built so far (idle or in use); guarded by idle_mutex_.
+    size_t states_ = 0;
 };
 
 /**

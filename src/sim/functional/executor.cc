@@ -1,5 +1,7 @@
 #include "sim/functional/executor.hh"
 
+#include <utility>
+
 #include "common/logging.hh"
 #include "modmath/simd.hh"
 
@@ -106,7 +108,7 @@ FunctionalSimulator::execLoadStore(const Instruction &instr)
         if (instr.mode == AddrMode::REPEATED)
             rpu_fatal("REPEATED mode is not defined for stores");
         const uint64_t base = state_.areg(instr.rm) + instr.address;
-        const auto &src = state_.vreg(instr.vs);
+        const auto &src = std::as_const(state_).vreg(instr.vs);
         for (unsigned i = 0; i < VL; ++i) {
             state_.writeVdm(
                 base + laneOffset(instr.mode, instr.modeValue, i), src[i]);
@@ -147,14 +149,14 @@ FunctionalSimulator::execCompute(const Instruction &instr)
     // Read all sources before writing any destination so that
     // destination aliasing (vd == vs etc.) behaves like hardware with
     // read-before-write register file timing.
-    const ArchState::Vreg vs = state_.vreg(instr.vs);
+    const ArchState::Vreg vs = std::as_const(state_).vreg(instr.vs);
 
     const simd::NarrowModulus *nm =
         simd::narrowLanesActive() ? mod.narrow() : nullptr;
 
     if (instr.isButterfly()) {
-        const ArchState::Vreg vt = state_.vreg(instr.vt);
-        const ArchState::Vreg vt1 = state_.vreg(instr.vt1);
+        const ArchState::Vreg vt = std::as_const(state_).vreg(instr.vt);
+        const ArchState::Vreg vt1 = std::as_const(state_).vreg(instr.vt1);
         ArchState::Vreg sum, diff;
         uint64_t nx[VL], ny[VL], nw[VL];
         if (nm && narrowLanes(vs, mod.value(), nx) &&
@@ -185,7 +187,7 @@ FunctionalSimulator::execCompute(const Instruction &instr)
       case Opcode::VADDMOD:
       case Opcode::VSUBMOD:
       case Opcode::VMULMOD: {
-        const ArchState::Vreg vt = state_.vreg(instr.vt);
+        const ArchState::Vreg vt = std::as_const(state_).vreg(instr.vt);
         uint64_t na[VL], nb[VL];
         if (instr.op == Opcode::VMULMOD && nm &&
             narrowLanes(vs, mod.value(), na) &&
@@ -249,8 +251,8 @@ FunctionalSimulator::execShuffle(const Instruction &instr)
 {
     constexpr unsigned VL = arch::kVectorLength;
     constexpr unsigned H = VL / 2;
-    const ArchState::Vreg vs = state_.vreg(instr.vs);
-    const ArchState::Vreg vt = state_.vreg(instr.vt);
+    const ArchState::Vreg vs = std::as_const(state_).vreg(instr.vs);
+    const ArchState::Vreg vt = std::as_const(state_).vreg(instr.vt);
     ArchState::Vreg out;
 
     switch (instr.op) {

@@ -4,13 +4,16 @@
  * context caches, backend equivalence (functional simulator vs CPU
  * reference baseline), batched tower launches, and the BFV RNS-tower
  * multiply path that makes the simulated RPU the execution engine of
- * the HE pipeline.
+ * the HE pipeline, and resident simulator state reused across
+ * interleaved, serial and pooled launches.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <functional>
+#include <set>
 #include <thread>
 
 #include "modmath/primegen.hh"
@@ -836,6 +839,86 @@ TEST(BfvOnDevice, SharedDeviceAccumulatesAcrossContexts)
                                    ctx.params().n, rng));
     EXPECT_EQ(device->counters().launches, 4u);
     EXPECT_GT(device->modulusCache().size(), 0u);
+}
+
+/** One (kind, n, towers) launch shape of the lane-reuse mix. */
+struct LaneShape
+{
+    KernelKind kind;
+    uint64_t n;
+    size_t towers;
+};
+
+/** Every reference-handled kind, at mixed ring sizes and widths. */
+const std::vector<LaneShape> kLaneShapes = {
+    {KernelKind::ForwardNtt, 1024, 1},
+    {KernelKind::InverseNtt, 2048, 1},
+    {KernelKind::PolyMul, 1024, 1},
+    {KernelKind::BatchedForwardNtt, 1024, 3},
+    {KernelKind::BatchedPolyMul, 1024, 2},
+    {KernelKind::BatchedInverseNtt, 2048, 2},
+    {KernelKind::PointwiseMul, 2048, 1},
+    {KernelKind::PointwiseMulBatched, 1024, 4},
+};
+
+/**
+ * The lane-reuse mix on @p dev: every shape twice, forwards then
+ * backwards, so every kind follows a different one on the same
+ * resident state. Inputs are canonical under every tower's modulus.
+ */
+std::vector<LaunchRequest>
+laneReuseBatch(RpuDevice &dev)
+{
+    Rng rng(131);
+    std::vector<LaunchRequest> batch;
+    for (size_t i = 0; i < 2 * kLaneShapes.size(); ++i) {
+        const size_t m = kLaneShapes.size();
+        const LaneShape &s = kLaneShapes[i < m ? i : 2 * m - 1 - i];
+        const auto moduli = nttPrimes(60, s.n, s.towers);
+        const KernelImage &k = dev.kernel(s.kind, s.n, moduli);
+        const Modulus mod(*std::min_element(moduli.begin(), moduli.end()));
+        LaunchRequest req{&k, {}};
+        for (const DataRegion *r : k.inputRegions())
+            req.inputs.push_back(randomPoly(mod, r->words, rng));
+        batch.push_back(std::move(req));
+    }
+    return batch;
+}
+
+TEST(LaneReuse, InterleavedKindsMatchCpuReference)
+{
+    std::set<KernelKind> covered;
+    for (const LaneShape &s : kLaneShapes)
+        covered.insert(s.kind);
+    for (int k = 0; k < int(KernelKind::kCount); ++k) {
+        if (CpuReferenceBackend::handles(KernelKind(k))) {
+            EXPECT_TRUE(covered.count(KernelKind(k))) << "kind " << k;
+        }
+    }
+
+    // One serial device: every launch reuses the state the previous
+    // (different) kernel left behind.
+    RpuDevice sim;
+    RpuDevice ref(std::make_unique<CpuReferenceBackend>());
+    for (const LaunchRequest &req : laneReuseBatch(sim)) {
+        const KernelImage &k = *req.image;
+        const KernelImage &rk = ref.kernel(k.kind, k.n, k.moduli);
+        EXPECT_EQ(sim.launch(k, req.inputs), ref.launch(rk, req.inputs))
+            << k.program.name();
+    }
+}
+
+TEST(LaneReuse, PooledBitIdenticalToSerial)
+{
+    RpuDevice dev;
+    const auto batch = laneReuseBatch(dev);
+    const auto serial = dev.launchAll(batch);
+
+    // Four workers race for the backend's resident states; repeated
+    // rounds hand each state kernels of every kind in any order.
+    dev.setParallelism(4);
+    for (int round = 0; round < 3; ++round)
+        EXPECT_EQ(dev.launchAll(batch), serial) << "round " << round;
 }
 
 } // namespace

@@ -1,14 +1,19 @@
 /**
  * @file
  * Functional simulator tests: exact semantics of every B512
- * instruction, all four addressing modes, destination aliasing, and
- * bounds faulting.
+ * instruction, all four addressing modes, destination aliasing,
+ * bounds faulting, and resident-state reuse (ArchState::reset).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
+
 #include "isa/assembler.hh"
 #include "modmath/primegen.hh"
+#include "rpu/device.hh"
 #include "sim/functional/executor.hh"
 
 namespace rpu {
@@ -335,6 +340,131 @@ TEST_F(FunctionalSim, AssembledProgramRuns)
     const Modulus mod(q);
     for (unsigned i = 0; i < VL; ++i)
         EXPECT_EQ(state.readVdm(2048 + i), mod.add(i, 512 + i));
+}
+
+/** Write every kind of state: VDM (a word and a bulk load, either
+ *  one reaching the top word), SDM, one vector register through the
+ *  mutable accessor, and one entry of each scalar register file. */
+void
+dirtyEveryKind(ArchState &s, u128 tag, bool load_at_top)
+{
+    const uint64_t top = s.vdmWords() - 1;
+    const std::vector<u128> bulk(600, tag + 1);
+    s.writeVdm(load_at_top ? 1000 : top, tag);
+    s.loadVdm(load_at_top ? top + 1 - bulk.size() : 1000, bulk);
+    s.writeSdm(arch::kSdmWords - 1, tag + 2);
+    s.vreg(arch::kNumVregs - 1)[VL - 1] = tag + 3;
+    s.setSreg(arch::kNumSregs - 1, tag + 4);
+    s.setAreg(7, uint64_t(tag) + 5);
+    s.setMreg(1, tag + 6);
+}
+
+/** Every word and register of @p s equals the same in @p fresh. */
+void
+expectSameState(const ArchState &s, const ArchState &fresh)
+{
+    ASSERT_EQ(s.vdmWords(), fresh.vdmWords());
+    EXPECT_TRUE(s.dumpVdm(0, s.vdmWords()) ==
+                fresh.dumpVdm(0, fresh.vdmWords()));
+    size_t sdm_diffs = 0;
+    for (uint64_t i = 0; i < arch::kSdmWords; ++i)
+        sdm_diffs += s.readSdm(i) != fresh.readSdm(i);
+    EXPECT_EQ(sdm_diffs, 0u);
+    for (unsigned i = 0; i < arch::kNumVregs; ++i)
+        EXPECT_TRUE(s.vreg(i) == fresh.vreg(i)) << "v" << i;
+    for (unsigned i = 0; i < arch::kNumSregs; ++i)
+        EXPECT_EQ(s.sreg(i), fresh.sreg(i)) << "s" << i;
+    for (unsigned i = 0; i < arch::kNumAregs; ++i)
+        EXPECT_EQ(s.areg(i), fresh.areg(i)) << "a" << i;
+    for (unsigned i = 0; i < arch::kNumMregs; ++i)
+        EXPECT_EQ(s.mreg(i), fresh.mreg(i)) << "m" << i;
+}
+
+TEST(ArchState, ResetEqualsFreshConstruction)
+{
+    // One state through the same size twice (the write, then the
+    // bulk load, reaching the top word), a smaller and a larger VDM
+    // size: each reset must also clear the tracking it consumed.
+    const size_t sizes[] = {arch::kVdmDefaultBytes,
+                            arch::kVdmDefaultBytes,
+                            arch::kVdmDefaultBytes / 2,
+                            2 * arch::kVdmDefaultBytes};
+    ArchState s;
+    for (size_t i = 0; i < std::size(sizes); ++i) {
+        const size_t bytes = sizes[i];
+        SCOPED_TRACE(bytes);
+        const uint64_t old_top = s.vdmWords() - 1;
+        dirtyEveryKind(s, 100 + 10 * i, i % 2 == 1);
+        s.reset(bytes);
+        expectSameState(s, ArchState(bytes));
+        if (old_top >= s.vdmWords()) {
+            // Shrinking keeps the out-of-bounds fault a fresh state has.
+            EXPECT_EXIT(s.readVdm(old_top), testing::ExitedWithCode(1),
+                        "out of bounds");
+        }
+    }
+}
+
+TEST(ArchState, HugeBulkAddressFaultsInsteadOfWrapping)
+{
+    // word_addr + size wraps to a small number; the bound must not.
+    ArchState s;
+    const uint64_t huge = UINT64_MAX - 1;
+    EXPECT_EXIT(s.loadVdm(huge, std::vector<u128>(4, 1)),
+                testing::ExitedWithCode(1), "bulk load out of bounds");
+    EXPECT_EXIT(s.dumpVdm(huge, 4), testing::ExitedWithCode(1),
+                "bulk dump out of bounds");
+}
+
+/** A hand-built image: @p prog over the default VDM, one output
+ *  region of @p out_words at word 0, and @p sdm as the SDM image. */
+KernelImage
+handImage(Program prog, std::vector<u128> sdm, uint64_t out_words)
+{
+    KernelImage image;
+    image.program = std::move(prog);
+    image.sdmImage = std::move(sdm);
+    image.vdmBytesRequired = arch::kVdmDefaultBytes;
+    image.regions.push_back({"out", 0, out_words, false, true});
+    return image;
+}
+
+TEST(ResidentState, IllFormedProgramSeesFreshStateAfterReuse)
+{
+    // Program A leaves state behind that no kernel of its image
+    // stages: an SDM constant, a vector register, an address
+    // register, and a VSTORE to an unstaged VDM word.
+    Program a("dirty");
+    a.append(Instruction::aload(2, 0));      // a2 <- SDM[0] = 4096
+    a.append(Instruction::vbcast(9, 0, 1));  // v9 <- SDM[1] = 777
+    a.append(Instruction::vstore(9, 2, 0));  // VDM[4096..] <- v9
+    a.append(Instruction::vstore(9, 0, 0));  // out <- v9
+    const KernelImage dirty = handImage(a, {4096, 777}, VL);
+
+    // Program B reads all of it before writing any of it, staging
+    // only its own SDM word 0. On a fresh state the first three
+    // output vectors are zero and the last is B's constant, stored
+    // through the (zero) address register A set.
+    Program b("reader");
+    b.append(Instruction::vload(4, 0, 4096)); // A's unstaged store
+    b.append(Instruction::vstore(4, 0, 0));
+    b.append(Instruction::vstore(9, 0, VL));  // A's vector register
+    b.append(Instruction::vbcast(6, 0, 1));   // A's SDM constant
+    b.append(Instruction::vstore(6, 0, 2 * VL));
+    b.append(Instruction::vbcast(7, 0, 0));   // B's own constant
+    b.append(Instruction::vstore(7, 2, 3 * VL)); // A's address reg
+    const KernelImage reader = handImage(b, {555}, 4 * VL);
+    std::vector<u128> fresh_out(4 * VL, 0);
+    std::fill(fresh_out.begin() + 3 * VL, fresh_out.end(), u128(555));
+
+    RpuDevice dev;
+    FunctionalSimBackend reused;
+    const auto out_a = reused.execute(dev, dirty, {});
+    ASSERT_EQ(out_a[0], std::vector<u128>(VL, 777));
+
+    const auto out_b = reused.execute(dev, reader, {});
+    EXPECT_EQ(out_b, FunctionalSimBackend().execute(dev, reader, {}));
+    EXPECT_EQ(out_b[0], fresh_out);
 }
 
 } // namespace
